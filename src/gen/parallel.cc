@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "common/file_util.h"
+#include "common/hash.h"
 #include "fault/fault.h"
 #include "fault/policy.h"
 #include "gen/serialize.h"
@@ -76,24 +77,15 @@ Dataset GenerateDatasetParallel(const GenerationConfig& config,
 
 namespace {
 
-uint64_t Fnv1a(std::string_view text,
-               uint64_t hash = 14695981039346656037ull) {
-  for (char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
 /// Fingerprints the corpus content so a checkpoint directory can detect it
 /// is being resumed against different inputs.
 uint64_t CorpusFingerprint(const std::vector<TableWithText>& corpus) {
-  uint64_t hash = Fnv1a("uctr-corpus-v1");
+  uint64_t hash = Fnv1a64("uctr-corpus-v1", kFnv1aOffsetBasis);
   for (const TableWithText& entry : corpus) {
-    hash = Fnv1a(entry.table.name(), hash);
-    hash = Fnv1a(entry.table.ToCsv(), hash);
+    hash = Fnv1a64(entry.table.name(), hash);
+    hash = Fnv1a64(entry.table.ToCsv(), hash);
     for (const std::string& sentence : entry.paragraph) {
-      hash = Fnv1a(sentence, hash);
+      hash = Fnv1a64(sentence, hash);
     }
   }
   return hash;
@@ -199,7 +191,7 @@ uint64_t GenerationConfigFingerprint(const GenerationConfig& config) {
     canon << buf;
   }
   canon << ";quarantine_after=" << config.quarantine_after;
-  return Fnv1a(canon.str());
+  return Fnv1a64(canon.str(), kFnv1aOffsetBasis);
 }
 
 Result<Dataset> GenerateDatasetCheckpointed(

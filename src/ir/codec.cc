@@ -1,7 +1,7 @@
-#include <cstring>
-#include <limits>
 #include <string>
 
+#include "common/bytes.h"
+#include "common/hash.h"
 #include "ir/ir.h"
 
 /// Plan wire codec. Same discipline as the store codec (store/codec.cc):
@@ -23,65 +23,6 @@ constexpr uint32_t kMaxAuxEntries = 1u << 20;
 constexpr uint32_t kMaxCodeEntries = 1u << 20;
 constexpr uint32_t kMaxTextBytes = 1u << 20;
 
-void PutU8(std::string* out, uint8_t v) { out->push_back(static_cast<char>(v)); }
-
-void PutU16(std::string* out, uint16_t v) {
-  PutU8(out, static_cast<uint8_t>(v));
-  PutU8(out, static_cast<uint8_t>(v >> 8));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) PutU8(out, static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) PutU8(out, static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void PutString(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s);
-}
-
-/// Bounds-checked little-endian reader over the input bytes.
-struct Reader {
-  const uint8_t* p;
-  size_t size;
-  size_t pos = 0;
-
-  bool Take(size_t n, const uint8_t** out) {
-    if (n > size - pos) return false;  // pos <= size always holds
-    *out = p + pos;
-    pos += n;
-    return true;
-  }
-  bool U8(uint8_t* v) {
-    const uint8_t* q;
-    if (!Take(1, &q)) return false;
-    *v = q[0];
-    return true;
-  }
-  bool U16(uint16_t* v) {
-    const uint8_t* q;
-    if (!Take(2, &q)) return false;
-    *v = static_cast<uint16_t>(q[0] | q[1] << 8);
-    return true;
-  }
-  bool U32(uint32_t* v) {
-    const uint8_t* q;
-    if (!Take(4, &q)) return false;
-    *v = static_cast<uint32_t>(q[0]) | static_cast<uint32_t>(q[1]) << 8 |
-         static_cast<uint32_t>(q[2]) << 16 | static_cast<uint32_t>(q[3]) << 24;
-    return true;
-  }
-  bool U64(uint64_t* v) {
-    uint32_t lo, hi;
-    if (!U32(&lo) || !U32(&hi)) return false;
-    *v = static_cast<uint64_t>(hi) << 32 | lo;
-    return true;
-  }
-};
-
 Status Corrupt(const std::string& what) {
   return Status::InvalidArgument("plan decode: " + what);
 }
@@ -90,51 +31,50 @@ Status Corrupt(const std::string& what) {
 
 std::string EncodePlan(const Plan& plan) {
   std::string out;
-  PutU32(&out, kMagic);
-  PutU32(&out, kVersion);
-  PutU8(&out, static_cast<uint8_t>(plan.family));
-  PutU16(&out, plan.num_regs);
-  PutU32(&out, plan.num_columns);
-  PutU64(&out, plan.schema_fp);
+  ByteWriter w(&out);
+  w.U32(kMagic);
+  w.U32(kVersion);
+  w.U8(static_cast<uint8_t>(plan.family));
+  w.U16(plan.num_regs);
+  w.U32(plan.num_columns);
+  w.U64(plan.schema_fp);
 
-  PutU32(&out, static_cast<uint32_t>(plan.pool.size()));
+  w.U32(static_cast<uint32_t>(plan.pool.size()));
   for (const Value& v : plan.pool) {
-    PutU8(&out, static_cast<uint8_t>(v.type()));
-    double num = v.is_number() ? v.number() : (v.is_bool() ? (v.boolean() ? 1 : 0) : 0);
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(num));
-    std::memcpy(&bits, &num, sizeof(bits));
-    PutU64(&out, bits);
-    PutString(&out, v.text());
+    w.U8(static_cast<uint8_t>(v.type()));
+    w.F64(v.is_number() ? v.number()
+                        : (v.is_bool() ? (v.boolean() ? 1 : 0) : 0));
+    w.Str(v.text());
   }
 
-  PutU32(&out, static_cast<uint32_t>(plan.aux.size()));
-  for (uint32_t a : plan.aux) PutU32(&out, a);
+  w.U32(static_cast<uint32_t>(plan.aux.size()));
+  for (uint32_t a : plan.aux) w.U32(a);
 
-  PutU32(&out, static_cast<uint32_t>(plan.code.size()));
+  w.U32(static_cast<uint32_t>(plan.code.size()));
   for (const Insn& insn : plan.code) {
-    PutU16(&out, insn.op);
-    PutU16(&out, insn.dst);
-    PutU16(&out, insn.a);
-    PutU16(&out, insn.b);
-    PutU32(&out, insn.imm);
-    PutU32(&out, insn.imm2);
+    w.U16(insn.op);
+    w.U16(insn.dst);
+    w.U16(insn.a);
+    w.U16(insn.b);
+    w.U32(insn.imm);
+    w.U32(insn.imm2);
   }
 
-  PutU64(&out, Fnv1a(out.data(), out.size()));
+  w.U64(Fnv1a64(out, kContentHashSeed));
   return out;
 }
 
 Result<Plan> DecodePlan(std::string_view bytes) {
   if (bytes.size() < 8 + 8) return Corrupt("truncated header");
   // Checksum first: everything after it assumes intact bytes.
-  size_t body = bytes.size() - 8;
-  Reader tail{reinterpret_cast<const uint8_t*>(bytes.data() + body), 8};
+  const std::string_view body = bytes.substr(0, bytes.size() - 8);
   uint64_t want = 0;
-  tail.U64(&want);
-  if (Fnv1a(bytes.data(), body) != want) return Corrupt("checksum mismatch");
+  ByteReader(bytes.substr(body.size())).U64(&want);
+  if (Fnv1a64(body, kContentHashSeed) != want) {
+    return Corrupt("checksum mismatch");
+  }
 
-  Reader r{reinterpret_cast<const uint8_t*>(bytes.data()), body};
+  ByteReader r(body);
   uint32_t magic = 0, version = 0;
   if (!r.U32(&magic) || magic != kMagic) return Corrupt("bad magic");
   if (!r.U32(&version) || version != kVersion) {
@@ -156,17 +96,15 @@ Result<Plan> DecodePlan(std::string_view bytes) {
   plan.pool.reserve(pool_count);
   for (uint32_t i = 0; i < pool_count; ++i) {
     uint8_t type = 0;
-    uint64_t bits = 0;
+    double num = 0;
     uint32_t len = 0;
-    if (!r.U8(&type) || !r.U64(&bits) || !r.U32(&len)) {
+    if (!r.U8(&type) || !r.F64(&num) || !r.U32(&len)) {
       return Corrupt("truncated pool entry");
     }
     if (len > kMaxTextBytes) return Corrupt("pool text too large");
-    const uint8_t* text_bytes;
+    std::string_view text_bytes;
     if (!r.Take(len, &text_bytes)) return Corrupt("truncated pool text");
-    std::string text(reinterpret_cast<const char*>(text_bytes), len);
-    double num;
-    std::memcpy(&num, &bits, sizeof(num));
+    std::string text(text_bytes);
     switch (static_cast<ValueType>(type)) {
       case ValueType::kNull:
         plan.pool.push_back(Value::Null());
@@ -212,7 +150,7 @@ Result<Plan> DecodePlan(std::string_view bytes) {
     plan.code.push_back(insn);
   }
 
-  if (r.pos != body) return Corrupt("trailing bytes");
+  if (!r.done()) return Corrupt("trailing bytes");
   UCTR_RETURN_NOT_OK(VerifyPlan(plan));
   // Derived field, not part of the wire format: rebuild after the plan is
   // proven well-formed so decoded plans execute as fast as compiled ones.

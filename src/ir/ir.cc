@@ -5,6 +5,7 @@
 
 #include "arith/ast.h"
 #include "arith/parser.h"
+#include "common/hash.h"
 #include "common/string_util.h"
 #include "logic/ast.h"
 #include "logic/exec_internal.h"
@@ -56,7 +57,7 @@ struct Builder {
   Result<Plan> Finish(Family family, const Schema& schema) {
     plan.family = family;
     plan.num_columns = static_cast<uint32_t>(schema.num_columns());
-    plan.schema_fp = SchemaFingerprint(schema);
+    plan.schema_fp = schema.Fingerprint();
     plan.RebuildPoolKeys();
     return std::move(plan);
   }
@@ -87,32 +88,10 @@ const char* FamilyToString(Family family) {
   return "unknown";
 }
 
-uint64_t Fnv1a(const void* data, size_t size) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  uint64_t h = 1469598103934665603ULL;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-uint64_t SchemaFingerprint(const Schema& schema) {
-  // Canonical definition lives on Schema so TableIndex can cache it once
-  // per table instead of re-hashing column names on every request.
-  return schema.Fingerprint();
-}
-
 uint64_t ProgramFingerprint(Family family, std::string_view text) {
   // Streamed, allocation-free: this runs on every VM-path request.
-  uint64_t h = 1469598103934665603ULL;
-  h ^= static_cast<unsigned char>(family);
-  h *= 1099511628211ULL;
-  for (char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
+  const char tag = static_cast<char>(family);
+  return Fnv1a64(text, Fnv1a64(std::string_view(&tag, 1), kContentHashSeed));
 }
 
 // --------------------------------------------------------------------------

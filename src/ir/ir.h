@@ -131,16 +131,9 @@ struct Plan {
   }
 };
 
-/// \brief 64-bit FNV-1a over a schema's column names and types — the cache
-/// identity of a plan. Cell contents do not participate: the same plan
-/// serves every table with this shape.
-uint64_t SchemaFingerprint(const Schema& schema);
-
-/// \brief 64-bit FNV-1a over (family tag, program text).
+/// \brief 64-bit FNV-1a over (family tag, program text). With
+/// Schema::Fingerprint it is the cache identity of a plan.
 uint64_t ProgramFingerprint(Family family, std::string_view text);
-
-/// \brief FNV-1a over raw bytes (exposed for the codec and its tests).
-uint64_t Fnv1a(const void* data, size_t size);
 
 /// \brief Parses `text` as `family` and lowers it against `schema`.
 /// Rejection (non-OK) means "run the tree-walk instead", not "the program

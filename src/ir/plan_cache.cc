@@ -1,5 +1,7 @@
 #include "ir/plan_cache.h"
 
+#include "common/hash.h"
+
 namespace uctr::ir {
 
 PlanCache::PlanCache(size_t capacity, size_t num_shards,
@@ -21,13 +23,10 @@ PlanCache::PlanCache(size_t capacity, size_t num_shards,
 }
 
 size_t PlanCache::KeyHash::operator()(const Key& k) const {
-  // Splitmix-style finalize over the xor of the two fingerprints; both are
-  // already FNV-avalanched, the mix just decorrelates shard selection.
-  uint64_t h = k.program_fp ^ (k.schema_fp * 0x9E3779B97F4A7C15ULL);
-  h ^= h >> 30;
-  h *= 0xBF58476D1CE4E5B9ULL;
-  h ^= h >> 27;
-  return static_cast<size_t>(h);
+  // Both fingerprints are already FNV hashes; the mix decorrelates shard
+  // selection.
+  return static_cast<size_t>(
+      Mix64(k.program_fp ^ (k.schema_fp * 0x9E3779B97F4A7C15ULL)));
 }
 
 size_t PlanCache::ShardIndex(const Key& key) const {

@@ -358,7 +358,7 @@ Result<ExecResult> ExecutePlan(const Plan& plan, const Table& table,
   // plan's own claim — so re-anchor it to the actual table here. The
   // indexed path reads the cached fingerprint (computed once per table).
   uint64_t table_fp = index != nullptr ? index->schema_fingerprint()
-                                       : SchemaFingerprint(table.schema());
+                                       : table.schema().Fingerprint();
   if (plan.schema_fp != table_fp ||
       plan.num_columns != static_cast<uint32_t>(table.num_columns())) {
     return Status::InvalidArgument("plan compiled for a different schema");

@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <chrono>
 
+#include "common/hash.h"
 #include "common/json.h"
 #include "fault/fault.h"
 #include "store/codec.h"
@@ -15,9 +16,6 @@
 namespace uctr::net {
 
 namespace {
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
 
 std::string ErrorLine(uint64_t id, const std::string& status,
                       const std::string& message) {
@@ -44,21 +42,11 @@ bool IsRefMissResponse(const std::string& response) {
 // ConsistentRing
 
 uint64_t ConsistentRing::Hash(std::string_view text) {
-  uint64_t h = kFnvOffset;
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= kFnvPrime;
-  }
   // Raw FNV-1a clusters for near-identical inputs (vnode labels differ only
   // in a short numeric suffix), which skews ring ownership badly at 64
-  // vnodes. A final avalanche mix (splitmix64 finalizer) spreads those
-  // neighboring hashes across the whole ring.
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-  return h;
+  // vnodes. A final avalanche mix spreads those neighboring hashes across
+  // the whole ring.
+  return Mix64(Fnv1a64(text, kContentHashSeed));
 }
 
 ConsistentRing::ConsistentRing(const std::vector<std::string>& backend_labels,

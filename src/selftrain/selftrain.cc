@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "common/file_util.h"
+#include "common/hash.h"
 #include "common/string_util.h"
 #include "datasets/benchmark.h"
 #include "datasets/corpus.h"
@@ -28,26 +29,11 @@ namespace {
 
 // ------------------------------------------------------------- utilities
 
-uint64_t Fnv1a(const std::string& text) {
-  uint64_t hash = 14695981039346656037ull;
-  for (unsigned char c : text) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
 /// splitmix64-style derivation: one run seed fans out into independent
 /// per-round streams (corpus, generation, training) and the eval stream,
 /// so no phase's randomness aliases another's.
 uint64_t DeriveSeed(uint64_t seed, uint64_t salt) {
-  uint64_t x = seed + 0x9E3779B97F4A7C15ull * (salt + 1);
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
+  return Mix64(seed + 0x9E3779B97F4A7C15ull * (salt + 1));
 }
 
 uint64_t CorpusSeed(uint64_t seed, size_t round) {
@@ -266,7 +252,7 @@ uint64_t ConfigFingerprint(const SelfTrainConfig& config) {
   // checkpoint manifests validate against.
   canon << ";gen=" << GenerationConfigFingerprint(CandidateGenConfig(config));
   canon << ";eval=" << GenerationConfigFingerprint(EvalGenConfig(config));
-  return Fnv1a(canon.str());
+  return Fnv1a64(canon.str(), kFnv1aOffsetBasis);
 }
 
 std::string RoundResult::Serialize() const {

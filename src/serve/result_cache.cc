@@ -3,27 +3,13 @@
 #include <algorithm>
 #include <cctype>
 
+#include "common/hash.h"
+
 namespace uctr::serve {
 
-namespace {
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t Fnv1a(std::string_view text, uint64_t seed = kFnvOffset) {
-  uint64_t h = seed;
-  for (char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-}  // namespace
-
 size_t ResultCache::KeyHash::operator()(const Key& k) const {
-  uint64_t h = Fnv1a(k.query, kFnvOffset ^ k.table_fp);
-  return static_cast<size_t>(h);
+  return static_cast<size_t>(
+      Fnv1a64(k.query, kContentHashSeed ^ k.table_fp));
 }
 
 ResultCache::ResultCache(size_t capacity, size_t num_shards,
@@ -94,11 +80,15 @@ size_t ResultCache::size() const {
 }
 
 uint64_t ResultCache::FingerprintTable(const Table& table) {
-  return Fnv1a(table.ToCsv(), Fnv1a(table.name()));
+  return Fnv1a64(table.ToCsv(), Fnv1a64(table.name(), kContentHashSeed));
 }
 
 uint64_t ResultCache::FingerprintCsv(std::string_view csv) {
-  return Fnv1a(csv, Fnv1a("table"));
+  return Fnv1a64(csv, Fnv1a64("table", kContentHashSeed));
+}
+
+uint64_t ResultCache::FingerprintRef(std::string_view table_ref) {
+  return Fnv1a64(table_ref, Fnv1a64("table_ref", kContentHashSeed));
 }
 
 std::string ResultCache::NormalizeQuery(std::string_view query) {

@@ -60,6 +60,11 @@ class ResultCache {
   /// the table yet (the server's hot path).
   static uint64_t FingerprintCsv(std::string_view csv);
 
+  /// \brief Fingerprint of a registered table by its `table_ref`. Seeded
+  /// apart from FingerprintCsv, so an inline table whose CSV text spells
+  /// a ref never shares that ref's entries.
+  static uint64_t FingerprintRef(std::string_view table_ref);
+
   /// \brief Canonical query form: lowercased, whitespace collapsed,
   /// trailing sentence punctuation dropped. "  The Total  IS 30. " and
   /// "the total is 30" hit the same entry.

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/json.h"
 #include "fault/fault.h"
 
@@ -427,15 +428,15 @@ void Server::SubmitLine(const std::string& line,
 
   // Cache probe on the raw evidence text: no parsing on the hit path.
   // Registered tables fingerprint by their content-addressed ref (same
-  // content -> same ref -> same entry). Paragraph sentences are part of
-  // the evidence, so they join the fingerprint (same claim + same table
-  // + different text may differ). An injected cache fault (or an open
-  // cache breaker) degrades the request to cache bypass: the worker
-  // recomputes the identical body.
-  uint64_t fp = shared != nullptr ? ResultCache::FingerprintCsv(table_ref)
+  // content -> same ref -> same entry), seeded apart from inline CSV
+  // text. Paragraph sentences are part of the evidence, so they join the
+  // fingerprint (same claim + same table + different text may differ).
+  // An injected cache fault (or an open cache breaker) degrades the
+  // request to cache bypass: the worker recomputes the identical body.
+  uint64_t fp = shared != nullptr ? ResultCache::FingerprintRef(table_ref)
                                   : ResultCache::FingerprintCsv(*csv);
   for (const std::string& sentence : paragraph) {
-    fp = ResultCache::FingerprintCsv(sentence) ^ (fp * 1099511628211ull);
+    fp = Mix64(fp) ^ ResultCache::FingerprintCsv(sentence);
   }
   std::string cache_key = op + "\x1f" + ResultCache::NormalizeQuery(*query);
   bool cache_bypassed = false;

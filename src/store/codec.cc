@@ -1,134 +1,19 @@
 #include "store/codec.h"
 
-#include <cstring>
-#include <limits>
+#include <algorithm>
+
+#include "common/bytes.h"
+#include "common/hash.h"
 
 namespace uctr::store {
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t Fnv1a(std::string_view bytes) {
-  uint64_t h = kFnvOffset;
-  for (unsigned char c : bytes) {
-    h ^= c;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-/// Append-only little-endian writer over a std::string.
-class ByteWriter {
- public:
-  explicit ByteWriter(std::string* out) : out_(out) {}
-
-  void U8(uint8_t v) { out_->push_back(static_cast<char>(v)); }
-  void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out_->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  }
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out_->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  }
-  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void F64(double v) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    U64(bits);
-  }
-  void Bytes(const void* data, size_t n) {
-    out_->append(static_cast<const char*>(data), n);
-  }
-  void Str(std::string_view s) {
-    U32(static_cast<uint32_t>(s.size()));
-    Bytes(s.data(), s.size());
-  }
-
- private:
-  std::string* out_;
-};
-
-/// Bounds-checked little-endian reader. Every Read* fails cleanly at
-/// end-of-input; callers verify element counts against remaining()
-/// before sizing any allocation from untrusted lengths.
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view bytes) : bytes_(bytes) {}
-
-  size_t remaining() const { return bytes_.size() - pos_; }
-  bool done() const { return pos_ == bytes_.size(); }
-
-  Status U8(uint8_t* out) {
-    if (remaining() < 1) return Truncated();
-    *out = static_cast<uint8_t>(bytes_[pos_++]);
-    return Status::OK();
-  }
-  Status U32(uint32_t* out) {
-    if (remaining() < 4) return Truncated();
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    *out = v;
-    return Status::OK();
-  }
-  Status U64(uint64_t* out) {
-    if (remaining() < 8) return Truncated();
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    *out = v;
-    return Status::OK();
-  }
-  Status I64(int64_t* out) {
-    uint64_t bits;
-    UCTR_RETURN_NOT_OK(U64(&bits));
-    *out = static_cast<int64_t>(bits);
-    return Status::OK();
-  }
-  Status F64(double* out) {
-    uint64_t bits;
-    UCTR_RETURN_NOT_OK(U64(&bits));
-    std::memcpy(out, &bits, sizeof(*out));
-    return Status::OK();
-  }
-  Status Bytes(void* out, size_t n) {
-    if (remaining() < n) return Truncated();
-    std::memcpy(out, bytes_.data() + pos_, n);
-    pos_ += n;
-    return Status::OK();
-  }
-  Status Str(std::string* out) {
-    uint32_t len;
-    UCTR_RETURN_NOT_OK(U32(&len));
-    if (remaining() < len) return Truncated();
-    out->assign(bytes_.data() + pos_, len);
-    pos_ += len;
-    return Status::OK();
-  }
-
- private:
-  static Status Truncated() {
-    return Status::InvalidArgument("table codec: truncated payload");
-  }
-
-  std::string_view bytes_;
-  size_t pos_ = 0;
-};
-
 Status Corrupt(const std::string& what) {
   return Status::InvalidArgument("table codec: " + what);
 }
+
+Status Truncated() { return Corrupt("truncated payload"); }
 
 }  // namespace
 
@@ -174,11 +59,8 @@ std::string Codec::Encode(const ColumnarTable& table) {
 
   std::string out;
   out.reserve(kHeaderBytes + payload.size());
+  AppendFrameHeader(&out, kMagic, kVersion, payload);
   ByteWriter h(&out);
-  h.Bytes(kMagic, sizeof(kMagic));
-  h.U32(kVersion);
-  h.U64(payload.size());
-  h.U64(Fnv1a(payload));
   h.U32(static_cast<uint32_t>(table.num_columns()));
   h.U32(static_cast<uint32_t>(rows));
   out += payload;
@@ -186,46 +68,43 @@ std::string Codec::Encode(const ColumnarTable& table) {
 }
 
 Result<ColumnarTable> Codec::Decode(std::string_view bytes) {
-  if (bytes.size() < kHeaderBytes) {
-    return Corrupt("short header (" + std::to_string(bytes.size()) +
-                   " bytes)");
+  const Frame frame = ReadFrame(bytes, kMagic, kVersion, kHeaderBytes);
+  switch (frame.error) {
+    case FrameError::kShort:
+      return Corrupt("short header (" + std::to_string(bytes.size()) +
+                     " bytes)");
+    case FrameError::kMagic:
+      return Corrupt("bad magic");
+    case FrameError::kVersion:
+      return Corrupt("version skew: payload is v" +
+                     std::to_string(frame.version) + ", this build reads v" +
+                     std::to_string(kVersion));
+    default:
+      break;
   }
-  ByteReader h(bytes.substr(0, kHeaderBytes));
-  char magic[4];
-  uint32_t version, num_columns, num_rows;
-  uint64_t payload_size, checksum;
-  UCTR_RETURN_NOT_OK(h.Bytes(magic, sizeof(magic)));
-  UCTR_RETURN_NOT_OK(h.U32(&version));
-  UCTR_RETURN_NOT_OK(h.U64(&payload_size));
-  UCTR_RETURN_NOT_OK(h.U64(&checksum));
-  UCTR_RETURN_NOT_OK(h.U32(&num_columns));
-  UCTR_RETURN_NOT_OK(h.U32(&num_rows));
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Corrupt("bad magic");
-  }
-  if (version != kVersion) {
-    return Corrupt("version skew: payload is v" + std::to_string(version) +
-                   ", this build reads v" + std::to_string(kVersion));
-  }
-  if (payload_size != bytes.size() - kHeaderBytes) {
+  if (frame.payload_size != bytes.size() - kHeaderBytes) {
     return Corrupt("payload size mismatch: header says " +
-                   std::to_string(payload_size) + ", have " +
+                   std::to_string(frame.payload_size) + ", have " +
                    std::to_string(bytes.size() - kHeaderBytes));
   }
-  std::string_view payload = bytes.substr(kHeaderBytes);
-  if (Fnv1a(payload) != checksum) {
+  if (frame.error == FrameError::kChecksum) {
     return Corrupt("checksum mismatch");
   }
+  // ReadFrame proved the header holds both counts.
+  uint32_t num_columns = 0, num_rows = 0;
+  ByteReader counts(bytes.substr(kFrameHeaderBytes));
+  counts.U32(&num_columns);
+  counts.U32(&num_rows);
 
   const size_t rows = num_rows;
   const size_t bitmap_bytes = (rows + 7) / 8;
   ColumnarTable table;
   table.num_rows_ = rows;
 
-  ByteReader r(payload);
-  UCTR_RETURN_NOT_OK(r.Str(&table.name_));
+  ByteReader r(frame.payload);
+  if (!r.Str(&table.name_)) return Truncated();
   uint32_t pool_count;
-  UCTR_RETURN_NOT_OK(r.U32(&pool_count));
+  if (!r.U32(&pool_count)) return Truncated();
   if (pool_count == 0) return Corrupt("empty string pool");
   // Each pool entry costs at least its 4-byte length prefix, so this
   // bounds the vector reserve by actual input size.
@@ -236,7 +115,7 @@ Result<ColumnarTable> Codec::Decode(std::string_view bytes) {
   strings.reserve(pool_count);
   for (uint32_t i = 0; i < pool_count; ++i) {
     std::string s;
-    UCTR_RETURN_NOT_OK(r.Str(&s));
+    if (!r.Str(&s)) return Truncated();
     strings.push_back(std::move(s));
   }
   if (!strings[0].empty()) return Corrupt("pool id 0 is not empty string");
@@ -246,10 +125,9 @@ Result<ColumnarTable> Codec::Decode(std::string_view bytes) {
       std::min<size_t>(num_columns, r.remaining() / 2 + 1));
   for (uint32_t c = 0; c < num_columns; ++c) {
     Column col;
-    UCTR_RETURN_NOT_OK(r.Str(&col.name));
+    if (!r.Str(&col.name)) return Truncated();
     uint8_t schema_type, encoding;
-    UCTR_RETURN_NOT_OK(r.U8(&schema_type));
-    UCTR_RETURN_NOT_OK(r.U8(&encoding));
+    if (!r.U8(&schema_type) || !r.U8(&encoding)) return Truncated();
     if (schema_type > static_cast<uint8_t>(ColumnType::kBool)) {
       return Corrupt("column '" + col.name + "': bad schema type " +
                      std::to_string(schema_type));
@@ -260,15 +138,15 @@ Result<ColumnarTable> Codec::Decode(std::string_view bytes) {
     }
     col.schema_type = static_cast<ColumnType>(schema_type);
     col.encoding = static_cast<ColumnEncoding>(encoding);
-    if (r.remaining() < bitmap_bytes) return Corrupt("truncated payload");
+    if (r.remaining() < bitmap_bytes) return Truncated();
     col.null_bitmap.resize(bitmap_bytes);
-    UCTR_RETURN_NOT_OK(r.Bytes(col.null_bitmap.data(), bitmap_bytes));
+    if (!r.Bytes(col.null_bitmap.data(), bitmap_bytes)) return Truncated();
 
     auto read_text_ids = [&]() -> Status {
-      if (r.remaining() < rows * 4) return Corrupt("truncated payload");
+      if (r.remaining() < rows * 4) return Truncated();
       col.text_ids.resize(rows);
       for (size_t i = 0; i < rows; ++i) {
-        UCTR_RETURN_NOT_OK(r.U32(&col.text_ids[i]));
+        if (!r.U32(&col.text_ids[i])) return Truncated();
         if (!table.pool_.valid(col.text_ids[i])) {
           return Corrupt("column '" + col.name + "': string id " +
                          std::to_string(col.text_ids[i]) + " out of range");
@@ -280,24 +158,24 @@ Result<ColumnarTable> Codec::Decode(std::string_view bytes) {
     switch (col.encoding) {
       case ColumnEncoding::kInt64: {
         uint8_t has_text;
-        UCTR_RETURN_NOT_OK(r.U8(&has_text));
+        if (!r.U8(&has_text)) return Truncated();
         if (has_text > 1) return Corrupt("bad has_text flag");
-        if (r.remaining() < rows * 8) return Corrupt("truncated payload");
+        if (r.remaining() < rows * 8) return Truncated();
         col.ints.resize(rows);
         for (size_t i = 0; i < rows; ++i) {
-          UCTR_RETURN_NOT_OK(r.I64(&col.ints[i]));
+          if (!r.I64(&col.ints[i])) return Truncated();
         }
         if (has_text) UCTR_RETURN_NOT_OK(read_text_ids());
         break;
       }
       case ColumnEncoding::kDouble: {
         uint8_t has_text;
-        UCTR_RETURN_NOT_OK(r.U8(&has_text));
+        if (!r.U8(&has_text)) return Truncated();
         if (has_text > 1) return Corrupt("bad has_text flag");
-        if (r.remaining() < rows * 8) return Corrupt("truncated payload");
+        if (r.remaining() < rows * 8) return Truncated();
         col.doubles.resize(rows);
         for (size_t i = 0; i < rows; ++i) {
-          UCTR_RETURN_NOT_OK(r.F64(&col.doubles[i]));
+          if (!r.F64(&col.doubles[i])) return Truncated();
         }
         if (has_text) UCTR_RETURN_NOT_OK(read_text_ids());
         break;
@@ -306,16 +184,14 @@ Result<ColumnarTable> Codec::Decode(std::string_view bytes) {
         UCTR_RETURN_NOT_OK(read_text_ids());
         break;
       case ColumnEncoding::kBool:
-        if (r.remaining() < bitmap_bytes) return Corrupt("truncated payload");
+        if (r.remaining() < bitmap_bytes) return Truncated();
         col.bool_bits.resize(bitmap_bytes);
-        UCTR_RETURN_NOT_OK(r.Bytes(col.bool_bits.data(), bitmap_bytes));
+        if (!r.Bytes(col.bool_bits.data(), bitmap_bytes)) return Truncated();
         break;
       case ColumnEncoding::kMixed:
-        if (r.remaining() < rows * (1 + 8 + 4)) {
-          return Corrupt("truncated payload");
-        }
+        if (r.remaining() < rows * (1 + 8 + 4)) return Truncated();
         col.cell_types.resize(rows);
-        UCTR_RETURN_NOT_OK(r.Bytes(col.cell_types.data(), rows));
+        if (!r.Bytes(col.cell_types.data(), rows)) return Truncated();
         for (uint8_t t : col.cell_types) {
           if (t > static_cast<uint8_t>(ValueType::kBool)) {
             return Corrupt("column '" + col.name + "': bad cell type " +
@@ -324,7 +200,7 @@ Result<ColumnarTable> Codec::Decode(std::string_view bytes) {
         }
         col.doubles.resize(rows);
         for (size_t i = 0; i < rows; ++i) {
-          UCTR_RETURN_NOT_OK(r.F64(&col.doubles[i]));
+          if (!r.F64(&col.doubles[i])) return Truncated();
         }
         UCTR_RETURN_NOT_OK(read_text_ids());
         break;
@@ -339,7 +215,7 @@ Result<ColumnarTable> Codec::Decode(std::string_view bytes) {
 }
 
 std::string Codec::Fingerprint(std::string_view encoded) {
-  uint64_t h = Fnv1a(encoded);
+  uint64_t h = Fnv1a64(encoded, kContentHashSeed);
   static const char* kHex = "0123456789abcdef";
   std::string out(16, '0');
   for (int i = 15; i >= 0; --i) {
@@ -348,8 +224,6 @@ std::string Codec::Fingerprint(std::string_view encoded) {
   }
   return out;
 }
-
-uint64_t Codec::Checksum64(std::string_view bytes) { return Fnv1a(bytes); }
 
 std::string Codec::ToHex(std::string_view bytes) {
   static const char* kHex = "0123456789abcdef";

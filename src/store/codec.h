@@ -13,15 +13,9 @@ namespace uctr::store {
 
 /// \brief Versioned binary serialization for ColumnarTable.
 ///
-/// Layout: a fixed 32-byte little-endian header followed by the payload.
-///
-///   offset  size  field
-///   0       4     magic "UCTB"
-///   4       4     u32 codec version (currently 1)
-///   8       8     u64 payload size in bytes
-///   16      8     u64 FNV-1a checksum of the payload
-///   24      4     u32 column count
-///   28      4     u32 row count
+/// Layout: the shared 24-byte frame header of common/bytes.h (magic
+/// "UCTB", codec version 1, payload size, payload checksum), then u32
+/// column count and u32 row count — 32 header bytes — then the payload.
 ///
 /// The payload is the table name, the string pool, then each column
 /// (name, schema type, encoding, null bitmap, encoding-specific arrays),
@@ -50,14 +44,9 @@ class Codec {
   /// \brief Parses and fully validates `bytes` (see class comment).
   static Result<ColumnarTable> Decode(std::string_view bytes);
 
-  /// \brief Content fingerprint of encoded bytes: 64-bit FNV-1a rendered
-  /// as 16 lowercase hex chars. Same hash family the result cache uses.
+  /// \brief Content fingerprint of encoded bytes: Fnv1a64 with
+  /// kContentHashSeed (common/hash.h) rendered as 16 lowercase hex chars.
   static std::string Fingerprint(std::string_view encoded);
-
-  /// \brief Raw 64-bit FNV-1a over `bytes` — the hash behind both the
-  /// header checksum and Fingerprint. Exported so the WAL frames records
-  /// with the same checksum the codec header carries.
-  static uint64_t Checksum64(std::string_view bytes);
 
   /// \brief Lowercase-hex transport encoding for codec bytes, used where
   /// the bytes must ride inside a JSON string field (router read-repair's

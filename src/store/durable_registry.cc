@@ -6,10 +6,10 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 #include <vector>
 
+#include "common/file_util.h"
 #include "fault/fault.h"
 #include "store/codec.h"
 
@@ -179,41 +179,28 @@ Status DurableStore::CompactLocked() {
   const std::string tmp = SnapshotPath() + ".tmp";
   std::vector<std::pair<std::string, uint64_t>> order;  // fp, new offset
   order.reserve(refs_.size());
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::Unavailable("store compact: cannot write '" + tmp + "'");
-    }
+  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) {
+    return Status::Unavailable("store compact: cannot write '" + tmp +
+                               "': " + std::strerror(errno));
+  }
+  Status written = [&]() -> Status {
     uint64_t offset = 0;
     for (const auto& [fp, ref] : refs_) {
       Result<std::string> payload = ReadRef(ref);
       if (!payload.ok()) return payload.status();
       const std::string record = Wal::EncodeRecord(*payload);
-      out.write(record.data(), static_cast<std::streamsize>(record.size()));
+      UCTR_RETURN_NOT_OK(WriteFd(fd, record, tmp));
       order.emplace_back(fp, offset + Wal::kRecordHeaderBytes);
       offset += record.size();
     }
-    out.flush();
-    if (!out) {
-      return Status::Unavailable("store compact: short write to '" + tmp +
-                                 "'");
-    }
-  }
-  // Force the tmp file down before the rename makes it the snapshot.
-  {
-    const int fd = ::open(tmp.c_str(), O_RDONLY);
-    if (fd < 0) {
-      return Status::Unavailable("store compact: reopen '" + tmp +
-                                 "': " + std::strerror(errno));
-    }
-    while (::fsync(fd) != 0) {
-      if (errno == EINTR) continue;
-      const std::string err = std::strerror(errno);
-      ::close(fd);
-      return Status::Unavailable("store compact: fsync '" + tmp +
-                                 "': " + err);
-    }
-    ::close(fd);
+    // Force the tmp file down before the rename makes it the snapshot.
+    return SyncFd(fd, tmp);
+  }();
+  CloseQuietly(&fd);
+  if (!written.ok()) {
+    ::unlink(tmp.c_str());
+    return written;
   }
   std::error_code ec;
   std::filesystem::rename(tmp, SnapshotPath(), ec);
@@ -221,6 +208,9 @@ Status DurableStore::CompactLocked() {
     return Status::Unavailable("store compact: rename to '" + SnapshotPath() +
                                "': " + ec.message());
   }
+  // The rename must be durable before the WAL is emptied: a power cut in
+  // between would otherwise find the old snapshot and an empty WAL.
+  UCTR_RETURN_NOT_OK(SyncParentDir(SnapshotPath()));
 
   // The snapshot now holds everything; restart the WAL from offset 0.
   wal_.reset();

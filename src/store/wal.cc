@@ -10,8 +10,8 @@
 #include <fstream>
 #include <utility>
 
+#include "common/file_util.h"
 #include "fault/fault.h"
-#include "store/codec.h"
 
 namespace uctr::store {
 
@@ -21,60 +21,6 @@ int64_t SteadyNowUs() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-uint32_t GetU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t GetU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-/// write(2) until all of `bytes` is down or a real error occurs. Short
-/// writes and EINTR are retried; serving installs signal handlers without
-/// SA_RESTART, so interrupted syscalls are routine here.
-Status WriteAll(int fd, std::string_view bytes) {
-  size_t done = 0;
-  while (done < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Unavailable(std::string("wal write: ") +
-                                 std::strerror(errno));
-    }
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-Status FsyncFd(int fd, const std::string& path) {
-  while (::fsync(fd) != 0) {
-    if (errno == EINTR) continue;
-    return Status::Unavailable("wal fsync '" + path +
-                               "': " + std::strerror(errno));
-  }
-  return Status::OK();
 }
 
 }  // namespace
@@ -159,10 +105,7 @@ Result<Wal> Wal::Open(const std::string& path, Options options) {
 std::string Wal::EncodeRecord(std::string_view payload) {
   std::string out;
   out.reserve(kRecordHeaderBytes + payload.size());
-  out.append(kMagic, sizeof(kMagic));
-  PutU32(&out, kVersion);
-  PutU64(&out, payload.size());
-  PutU64(&out, Codec::Checksum64(payload));
+  AppendFrameHeader(&out, kMagic, kVersion, payload);
   out.append(payload.data(), payload.size());
   return out;
 }
@@ -176,7 +119,7 @@ Status Wal::Append(std::string_view payload, uint64_t* payload_offset) {
         "-byte record limit");
   }
   const std::string record = EncodeRecord(payload);
-  UCTR_RETURN_NOT_OK(WriteAll(fd_, record));
+  UCTR_RETURN_NOT_OK(WriteFd(fd_, record, path_));
   if (payload_offset != nullptr) {
     *payload_offset = end_offset_ + kRecordHeaderBytes;
   }
@@ -202,7 +145,7 @@ Status Wal::Append(std::string_view payload, uint64_t* payload_offset) {
 
 Status Wal::Sync() {
   UCTR_RETURN_NOT_OK(UCTR_FAULT_POINT("store.wal_fsync"));
-  UCTR_RETURN_NOT_OK(FsyncFd(fd_, path_));
+  UCTR_RETURN_NOT_OK(SyncFd(fd_, path_));
   last_sync_us_ = SteadyNowUs();
   fsyncs_->Increment();
   return Status::OK();
@@ -231,30 +174,26 @@ Result<uint64_t> Wal::Scan(
   uint64_t pos = 0;
   uint64_t valid_bytes = 0;
   while (pos < bytes.size()) {
-    // Short header, bad magic, version skew, or an implausible length all
-    // read as "the log ends here": they are what a record cut mid-write
-    // looks like, and anything after an unframed region is unwalkable.
-    if (bytes.size() - pos < kRecordHeaderBytes) break;
-    const char* header = bytes.data() + pos;
-    if (std::memcmp(header, kMagic, sizeof(kMagic)) != 0) break;
-    if (GetU32(header + 4) != kVersion) break;
-    const uint64_t payload_size = GetU64(header + 8);
-    if (payload_size > kMaxPayloadBytes) break;
-    if (bytes.size() - pos - kRecordHeaderBytes < payload_size) break;
-
-    const uint64_t checksum = GetU64(header + 16);
-    std::string_view payload(bytes.data() + pos + kRecordHeaderBytes,
-                             payload_size);
-    pos += kRecordHeaderBytes + payload_size;
-    if (Codec::Checksum64(payload) != checksum) {
+    const Frame frame =
+        ReadFrame(std::string_view(bytes).substr(pos), kMagic, kVersion,
+                  kRecordHeaderBytes, kMaxPayloadBytes);
+    // A short header, bad magic, version skew, or an implausible length
+    // all read as "the log ends here": they are what a record cut
+    // mid-write looks like, and anything after an unframed region is
+    // unwalkable.
+    if (frame.error != FrameError::kNone &&
+        frame.error != FrameError::kChecksum) {
+      break;
+    }
+    pos += kRecordHeaderBytes + frame.payload.size();
+    valid_bytes = pos;
+    if (frame.error == FrameError::kChecksum) {
       // A complete record with a bad checksum is bit rot, not a torn
       // tail; skip just this record and keep replaying.
       m.counter("store_wal_corrupt_records_total")->Increment();
-      valid_bytes = pos;
       continue;
     }
-    on_record(pos - payload_size, std::string(payload));
-    valid_bytes = pos;
+    on_record(pos - frame.payload.size(), std::string(frame.payload));
   }
   if (valid_bytes < bytes.size()) {
     m.counter("store_wal_truncated_bytes_total")

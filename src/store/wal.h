@@ -6,6 +6,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/bytes.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "obs/metrics.h"
@@ -32,30 +33,25 @@ Result<FsyncMode> ParseFsyncMode(std::string_view text);
 
 /// \brief Append-only log of store-codec-encoded tables.
 ///
-/// Record layout (little-endian, 24-byte header + payload):
-///
-///   offset  size  field
-///   0       4     magic "UWAL"
-///   4       4     u32 record version (currently 1)
-///   8       8     u64 payload size in bytes
-///   16      8     u64 FNV-1a checksum of the payload
-///   24      n     payload: the table's canonical store::Codec bytes
+/// Each record is the shared 24-byte frame header of common/bytes.h
+/// (magic "UWAL", record version 1, payload size, payload checksum)
+/// followed by the payload: the table's canonical store::Codec bytes.
 ///
 /// The payload is exactly what Codec::Encode produced, so the content
 /// fingerprint of a replayed record is computable without decoding and a
 /// recovered table is byte-identical to the acked one by construction.
 ///
-/// Recovery semantics (Scan):
-///   - a record whose header+payload are fully present and whose checksum
-///     matches is delivered to the callback;
-///   - a fully-present record with a checksum mismatch is SKIPPED (counted
-///     in `store_wal_corrupt_records_total`) and the scan continues at the
-///     next record — one flipped sector must not take out the rest of the
-///     log;
-///   - a torn tail — short header, bad magic, or a length that runs past
-///     the end of the file (an append cut mid-record by kill -9) — ends
-///     the scan; the caller truncates the file there (TruncateTo) so the
-///     next append starts from a clean record boundary.
+/// Recovery semantics (Scan), by the FrameError ReadFrame reports:
+///   - kNone: the record is delivered to the callback;
+///   - kChecksum: a fully-present record with a bad payload is SKIPPED
+///     (counted in `store_wal_corrupt_records_total`) and the scan
+///     continues at the next record — one flipped sector must not take
+///     out the rest of the log;
+///   - kShort, kMagic, kVersion, kSize: a torn tail — an append cut
+///     mid-record by kill -9, or a length past the end of the file or
+///     above kMaxPayloadBytes — ends the scan; the caller truncates the
+///     file there (TruncateTo) so the next append starts from a clean
+///     record boundary.
 ///
 /// Thread safety: Append/Sync must be externally serialized (DurableStore
 /// holds its mutex across them); Scan/TruncateTo are static and touch
@@ -64,7 +60,7 @@ class Wal {
  public:
   static constexpr char kMagic[4] = {'U', 'W', 'A', 'L'};
   static constexpr uint32_t kVersion = 1;
-  static constexpr size_t kRecordHeaderBytes = 24;
+  static constexpr size_t kRecordHeaderBytes = kFrameHeaderBytes;
   /// A record length beyond this is treated as tail corruption: no table
   /// the serving path accepts encodes anywhere near it, and trusting a
   /// corrupt u64 length would make recovery "skip" past the whole log.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/hash.h"
 #include "common/string_util.h"
 #include "fault/fault.h"
 #include "table/index.h"
@@ -105,20 +106,11 @@ uint64_t Schema::Fingerprint() const {
   // is a compatibility contract with serialized plans (ir/codec.cc stores
   // the resulting fingerprint); change it and every cached/persisted plan
   // silently misses, so don't.
-  uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](const char* p, size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      h ^= static_cast<unsigned char>(p[i]);
-      h *= 1099511628211ULL;
-    }
-  };
+  uint64_t h = kContentHashSeed;
   for (const ColumnSpec& col : columns_) {
-    mix(col.name.data(), col.name.size());
-    char tail[2] = {'\x1f',
-                    static_cast<char>('0' + static_cast<int>(col.type))};
-    mix(tail, 2);
-    char sep = '\x1e';
-    mix(&sep, 1);
+    const char tail[3] = {
+        '\x1f', static_cast<char>('0' + static_cast<int>(col.type)), '\x1e'};
+    h = Fnv1a64(std::string_view(tail, 3), Fnv1a64(col.name, h));
   }
   return h;
 }

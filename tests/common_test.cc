@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
+#include <filesystem>
 #include <map>
 #include <set>
 
+#include "common/bytes.h"
+#include "common/file_util.h"
+#include "common/hash.h"
 #include "common/json.h"
 #include "common/numeric.h"
 #include "common/result.h"
@@ -315,6 +320,192 @@ TEST(JsonTest, QuoteEscapesControlCharacters) {
                               json::Quote("v\t\x01z") + "}")
                       .ValueOrDie();
   EXPECT_EQ(json::GetStringOr(v.as_object(), "k", ""), "v\t\x01z");
+}
+
+// ------------------------------------------------------------ Hash / bytes
+
+TEST(HashTest, Fnv1a64MatchesPublishedVectors) {
+  EXPECT_EQ(Fnv1a64("", kFnv1aOffsetBasis), 0xcbf29ce484222325ull);
+  EXPECT_EQ(Fnv1a64("a", kFnv1aOffsetBasis), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(Fnv1a64("foobar", kFnv1aOffsetBasis), 0x85944171f73967e8ull);
+}
+
+TEST(HashTest, Fnv1a64SeedChainingHashesTheConcatenation) {
+  EXPECT_EQ(Fnv1a64("bar", Fnv1a64("foo", kContentHashSeed)),
+            Fnv1a64("foobar", kContentHashSeed));
+  EXPECT_NE(Fnv1a64("foobar", kContentHashSeed),
+            Fnv1a64("foobar", kFnv1aOffsetBasis));
+}
+
+TEST(HashTest, Mix64IsTheSplitmix64Finalizer) {
+  // First output of splitmix64 seeded with 0.
+  EXPECT_EQ(Mix64(0x9E3779B97F4A7C15ull), 0xe220a8397b1dcdafull);
+  EXPECT_EQ(Mix64(0), 0u);
+}
+
+TEST(BytesTest, WriterAndReaderRoundTripLittleEndian) {
+  std::string out;
+  ByteWriter w(&out);
+  w.U8(0xab);
+  w.U16(0x1234);
+  w.U32(0xdeadbeef);
+  w.U64(0x0102030405060708ull);
+  w.I64(-2);
+  w.F64(2.5);
+  w.Str("xyz");
+  EXPECT_EQ(out.substr(0, 7), std::string("\xab\x34\x12\xef\xbe\xad\xde"));
+
+  ByteReader r(out);
+  uint8_t u8 = 0;
+  uint16_t u16 = 0;
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
+  int64_t i64 = 0;
+  double f64 = 0;
+  std::string str;
+  ASSERT_TRUE(r.U8(&u8) && r.U16(&u16) && r.U32(&u32) && r.U64(&u64) &&
+              r.I64(&i64) && r.F64(&f64) && r.Str(&str));
+  EXPECT_EQ(u8, 0xab);
+  EXPECT_EQ(u16, 0x1234);
+  EXPECT_EQ(u32, 0xdeadbeefu);
+  EXPECT_EQ(u64, 0x0102030405060708ull);
+  EXPECT_EQ(i64, -2);
+  EXPECT_EQ(f64, 2.5);
+  EXPECT_EQ(str, "xyz");
+  EXPECT_TRUE(r.done());
+  EXPECT_FALSE(r.U8(&u8));
+}
+
+TEST(BytesTest, FailedReadsLeaveThePositionUnchanged) {
+  std::string out;
+  ByteWriter(&out).Str("abcdef");
+  ByteReader r(std::string_view(out).substr(0, out.size() - 1));
+  std::string str;
+  EXPECT_FALSE(r.Str(&str));
+  EXPECT_EQ(r.remaining(), out.size() - 1);
+  std::string_view view;
+  EXPECT_FALSE(r.Take(out.size(), &view));
+  uint32_t len = 0;
+  EXPECT_TRUE(r.U32(&len));
+  EXPECT_EQ(len, 6u);
+}
+
+TEST(BytesTest, ReadFrameReportsWhichCheckFailed) {
+  constexpr char kMagic[4] = {'T', 'E', 'S', 'T'};
+  const std::string payload = "payload";
+  std::string frame;
+  AppendFrameHeader(&frame, kMagic, 3, payload);
+  ASSERT_EQ(frame.size(), kFrameHeaderBytes);
+  frame += payload;
+
+  const std::string log = frame + "next record";
+  Frame ok = ReadFrame(log, kMagic, 3);
+  EXPECT_EQ(ok.error, FrameError::kNone);
+  EXPECT_EQ(ok.payload, payload);
+
+  const std::string short_header = frame.substr(0, kFrameHeaderBytes - 1);
+  EXPECT_EQ(ReadFrame(short_header, kMagic, 3).error, FrameError::kShort);
+  EXPECT_EQ(ReadFrame(frame, kMagic, 3, frame.size() + 1).error,
+            FrameError::kShort);
+  std::string bad = frame;
+  bad[0] = 'X';
+  EXPECT_EQ(ReadFrame(bad, kMagic, 3).error, FrameError::kMagic);
+  Frame skew = ReadFrame(frame, kMagic, 4);
+  EXPECT_EQ(skew.error, FrameError::kVersion);
+  EXPECT_EQ(skew.version, 3u);
+  EXPECT_EQ(ReadFrame(frame.substr(0, frame.size() - 1), kMagic, 3).error,
+            FrameError::kSize);
+  EXPECT_EQ(ReadFrame(frame, kMagic, 3, kFrameHeaderBytes, 6).error,
+            FrameError::kSize);
+  bad = frame;
+  bad.back() ^= 1;
+  Frame rot = ReadFrame(bad, kMagic, 3);
+  EXPECT_EQ(rot.error, FrameError::kChecksum);
+  EXPECT_EQ(rot.payload.size(), payload.size());
+}
+
+// ---------------------------------------------------------- WriteFileAtomic
+
+namespace fs = std::filesystem;
+
+/// A fresh directory under the system temp root, removed on destruction.
+class ScratchDir {
+ public:
+  ScratchDir() {
+    std::string tmpl =
+        (fs::temp_directory_path() / "uctr_common_XXXXXX").string();
+    EXPECT_NE(mkdtemp(tmpl.data()), nullptr);
+    path_ = tmpl;
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    fs::remove_all(path_, ec);
+  }
+  std::string Sub(const std::string& name) const { return path_ + "/" + name; }
+
+ private:
+  std::string path_;
+};
+
+TEST(WriteFileAtomicTest, RoundTrips) {
+  ScratchDir dir;
+  const std::string path = dir.Sub("state.txt");
+  const std::string bytes("line\n\0binary\xff", 13);
+  ASSERT_TRUE(WriteFileAtomic(path, bytes).ok());
+  EXPECT_EQ(ReadFileText(path).ValueOrDie(), bytes);
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+}
+
+TEST(WriteFileAtomicTest, OverwritesExistingContent) {
+  ScratchDir dir;
+  const std::string path = dir.Sub("state.txt");
+  ASSERT_TRUE(WriteFileAtomic(path, "a much longer first version").ok());
+  ASSERT_TRUE(WriteFileAtomic(path, "v2").ok());
+  EXPECT_EQ(ReadFileText(path).ValueOrDie(), "v2");
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+}
+
+TEST(WriteFileAtomicTest, FailedWriteUnderMissingDirectoryLeavesNoTmp) {
+  ScratchDir dir;
+  const std::string path = dir.Sub("missing/state.txt");
+  EXPECT_FALSE(WriteFileAtomic(path, "content").ok());
+  EXPECT_FALSE(fs::exists(path));
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+}
+
+TEST(WriteFileAtomicTest, FailedRenameLeavesTargetAndNoTmp) {
+  // A non-empty directory at the target path makes the final rename fail
+  // after the temp file was fully written.
+  ScratchDir dir;
+  const std::string path = dir.Sub("state");
+  fs::create_directory(path);
+  ASSERT_TRUE(WriteFileAtomic(path + "/keep.txt", "kept").ok());
+  EXPECT_FALSE(WriteFileAtomic(path, "content").ok());
+  EXPECT_TRUE(fs::is_directory(path));
+  EXPECT_EQ(ReadFileText(path + "/keep.txt").ValueOrDie(), "kept");
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+}
+
+TEST(WriteFileAtomicTest, FailedWriteLeavesTargetUnchanged) {
+  // A directory squatting on the temp path makes the write fail before
+  // the target is touched.
+  ScratchDir dir;
+  const std::string path = dir.Sub("state.txt");
+  ASSERT_TRUE(WriteFileAtomic(path, "old").ok());
+  fs::create_directory(path + ".tmp");
+  EXPECT_FALSE(WriteFileAtomic(path, "new").ok());
+  EXPECT_EQ(ReadFileText(path).ValueOrDie(), "old");
+}
+
+// Golden value: the xoshiro256** stream for seed 42, pinned so a change to
+// the splitmix64 seeding (or to the generator) cannot slip through as
+// "tests still pass". Every seeded experiment in the repo replays from it.
+TEST(RngTest, GoldenStreamForSeed42) {
+  Rng rng(42);
+  EXPECT_EQ(rng.Next(), 0x15780b2e0c2ec716ull);
+  EXPECT_EQ(rng.Next(), 0x6104d9866d113a7eull);
+  EXPECT_EQ(rng.Next(), 0xae17533239e499a1ull);
+  EXPECT_EQ(rng.Next(), 0xecb8ad4703b360a1ull);
 }
 
 }  // namespace

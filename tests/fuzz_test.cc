@@ -13,6 +13,7 @@
 
 #include "arith/executor.h"
 #include "arith/parser.h"
+#include "common/hash.h"
 #include "gen/serialize.h"
 #include "ir/ir.h"
 #include "logic/executor.h"
@@ -376,7 +377,9 @@ TEST_P(FuzzTest, PlanVerifierStopsChecksumRepairedMutations) {
         mutated[byte] =
             static_cast<char>(mutated[byte] ^ (1u << rng_.Index(8)));
       }
-      uint64_t sum = ir::Fnv1a(mutated.data(), mutated.size() - 8);
+      uint64_t sum = Fnv1a64(
+          std::string_view(mutated.data(), mutated.size() - 8),
+          kContentHashSeed);
       for (int b = 0; b < 8; ++b) {
         mutated[mutated.size() - 8 + b] =
             static_cast<char>((sum >> (8 * b)) & 0xFF);

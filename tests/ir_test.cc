@@ -142,6 +142,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IrDifferentialTest,
 
 // Fixed programs covering each family's edge cases, including ones whose
 // *walker* fails: the VM must reproduce the exact error Status too.
+// Golden values: serialized plans store the schema fingerprint and the
+// plan cache keys on both fingerprints, so their byte layout is pinned.
+TEST(IrGoldenTest, SchemaAndProgramFingerprints) {
+  Table table = Table::FromCsv("nation,gold\nchina,8\n").ValueOrDie();
+  EXPECT_EQ(table.schema().Fingerprint(), 0xf0ed15405124a801ull);
+  EXPECT_EQ(ir::ProgramFingerprint(ir::Family::kSql,
+                                   "SELECT SUM([gold]) FROM w"),
+            0xc0c1b35e89cfe758ull);
+  EXPECT_EQ(ir::ProgramFingerprint(ir::Family::kLogic, ""), 0x44bd2ad473ccf5e6ull);
+}
+
 TEST(IrFixedProgramTest, SqlProgramsMatch) {
   Table t = uctr::testing::MakeNationsTable();
   ir::PlanCache cache(64, 1);
@@ -244,8 +255,8 @@ TEST(IrPlanTest, PlanIsValueIndependent) {
                  "oz,4,5,6,15\n",
                  "medals2")
                  .ValueOrDie();
-  ASSERT_EQ(ir::SchemaFingerprint(t1.schema()),
-            ir::SchemaFingerprint(t2.schema()));
+  ASSERT_EQ(t1.schema().Fingerprint(),
+            t2.schema().Fingerprint());
   auto plan = ir::Compile(ir::Family::kSql, "SELECT SUM([gold]) FROM w",
                           t1.schema());
   ASSERT_TRUE(plan.ok());
@@ -479,9 +490,9 @@ TEST(PlanCacheTest, SchemaChangeInvalidates) {
                          "narnia,1,2,3,6\n",
                          "medals")
                          .ValueOrDie();
-  uint64_t fp1 = ir::SchemaFingerprint(t1.schema());
-  EXPECT_NE(fp1, ir::SchemaFingerprint(renamed.schema()));
-  EXPECT_EQ(fp1, ir::SchemaFingerprint(same_shape.schema()));
+  uint64_t fp1 = t1.schema().Fingerprint();
+  EXPECT_NE(fp1, renamed.schema().Fingerprint());
+  EXPECT_EQ(fp1, same_shape.schema().Fingerprint());
 
   obs::MetricsRegistry metrics;
   ir::PlanCache cache(16, 1, &metrics);

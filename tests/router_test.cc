@@ -84,6 +84,15 @@ std::string CallRouter(Router* router, const std::string& line) {
 
 // ------------------------------------------------------- ConsistentRing
 
+// Golden values: ring placement of three vnode labels. Moving them moves
+// every table_ref to a different backend after an upgrade, so they are
+// pinned, not derived.
+TEST(ConsistentRingTest, GoldenVnodeHashes) {
+  EXPECT_EQ(ConsistentRing::Hash("127.0.0.1:7001#0"), 0x55ca87fe979e1d54ull);
+  EXPECT_EQ(ConsistentRing::Hash("127.0.0.1:7001#1"), 0x025c5dee83253567ull);
+  EXPECT_EQ(ConsistentRing::Hash("127.0.0.1:7002#63"), 0xfbce531ebbff1b22ull);
+}
+
 TEST(ConsistentRingTest, PreferenceIsDeterministicAndDistinct) {
   ConsistentRing ring({"a:1", "b:2", "c:3", "d:4"}, 64);
   for (int k = 0; k < 50; ++k) {

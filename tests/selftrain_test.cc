@@ -300,6 +300,14 @@ TEST(WeightedTrainingTest, EpochLossTrajectoryIsExposed) {
 
 // ----------------------------------- gen-checkpoint config fingerprint
 
+// Golden values: both fingerprints are written into MANIFEST files and
+// checked on resume, so a state directory from one build must resume in
+// the next. Never edit these to make a refactor pass.
+TEST(GenConfigFingerprintTest, GoldenDefaultFingerprints) {
+  EXPECT_EQ(GenerationConfigFingerprint(GenerationConfig{}), 0x86450add19d091a2ull);
+  EXPECT_EQ(ConfigFingerprint(SelfTrainConfig{}), 0xfab5a9689bb8959dull);
+}
+
 TEST(GenConfigFingerprintTest, DistinguishesDatasetShapingKnobs) {
   GenerationConfig base;
   uint64_t fp = GenerationConfigFingerprint(base);

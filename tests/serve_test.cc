@@ -497,6 +497,42 @@ TEST(ServerTest, RepeatedRequestIsServedFromCache) {
   EXPECT_NE(third.find("\"id\":9"), std::string::npos);
 }
 
+// Regression: the result cache keyed a resolved table_ref by the ref string
+// in the same domain as an inline table's CSV text, so an inline table
+// whose CSV text was a registered ref (a header-only table) was served the
+// registered table's cached answer.
+TEST(ServerTest, InlineTableSpelledLikeARefDoesNotHitTheRefsCacheEntry) {
+  const std::string question =
+      "What is the gold of the row whose nation is china?";
+  auto ref_request = [&](const std::string& ref) {
+    return "{\"id\":2,\"op\":\"answer\",\"table_ref\":\"" + ref +
+           "\",\"query\":\"" + question + "\"}";
+  };
+  auto inline_request = [&](const std::string& csv) {
+    return "{\"id\":3,\"op\":\"answer\",\"table\":\"" + csv +
+           "\",\"query\":\"" + question + "\"}";
+  };
+
+  MetricsRegistry metrics;
+  ServerConfig config;
+  config.metrics = &metrics;
+  config.scheduler.num_workers = 1;
+  Server server(&SharedEngine(), config);
+  const std::string put = server.HandleLine(
+      "{\"id\":1,\"op\":\"put_table\",\"table\":\"nation,gold\\nchina,8\\n\"}");
+  const size_t at = put.find("\"fingerprint\":\"");
+  ASSERT_NE(at, std::string::npos) << put;
+  const std::string ref = put.substr(at + 15, 16);
+  server.HandleLine(ref_request(ref));
+  const uint64_t hits = metrics.counter("cache_hits_total")->value();
+
+  const std::string spelled_like_ref = server.HandleLine(inline_request(ref));
+  EXPECT_EQ(metrics.counter("cache_hits_total")->value(), hits);
+
+  Server fresh(&SharedEngine(), ServerConfig{});
+  EXPECT_EQ(spelled_like_ref, fresh.HandleLine(inline_request(ref)));
+}
+
 TEST(ServerTest, QueueFullRequestsAreRejected) {
   MetricsRegistry metrics;
   ServerConfig config;

@@ -18,6 +18,7 @@
 #include "store/codec.h"
 #include "store/columnar.h"
 #include "store/registry.h"
+#include "store/wal.h"
 #include "tests/test_util.h"
 
 namespace uctr::store {
@@ -241,6 +242,38 @@ TEST(CodecTest, GarbageInputsNeverCrash) {
 }
 
 // --------------------------------------------------------- TableRegistry
+
+// Golden values for the README's put_table example table. The codec bytes,
+// the WAL record that frames them and the content fingerprint are on-disk
+// and on-the-wire contracts: a table_ref handed out by one build must name
+// the same table in the next, and a WAL written by one build must replay
+// in the next. Never edit these to make a refactor pass.
+constexpr const char* kReadmeCsv = "nation,gold\nchina,8\n";
+constexpr const char* kReadmeEncodedHex =
+    "55435442010000004800000000000000841bdf3c9d08f8cf0200000001000000"
+    "050000007461626c650300000000000000050000006368696e61010000003806"
+    "0000006e6174696f6e0002000100000004000000676f6c640100000108000000"
+    "0000000002000000";
+
+TEST(CodecGoldenTest, ReadmeTableFingerprint) {
+  Table table = Table::FromCsv(kReadmeCsv).ValueOrDie();
+  EXPECT_EQ(Codec::Fingerprint(Codec::Encode(ColumnarTable::FromTable(table))),
+            "93d25f9ff552e9ce");
+}
+
+TEST(CodecGoldenTest, ReadmeTableEncodeBytes) {
+  Table table = Table::FromCsv(kReadmeCsv).ValueOrDie();
+  EXPECT_EQ(Codec::ToHex(Codec::Encode(ColumnarTable::FromTable(table))),
+            kReadmeEncodedHex);
+}
+
+TEST(CodecGoldenTest, ReadmeTableWalRecordBytes) {
+  Table table = Table::FromCsv(kReadmeCsv).ValueOrDie();
+  const std::string payload = Codec::Encode(ColumnarTable::FromTable(table));
+  EXPECT_EQ(Codec::ToHex(Wal::EncodeRecord(payload)),
+            std::string("5557414c010000006800000000000000cee952f59f5fd293") +
+                kReadmeEncodedHex);
+}
 
 TEST(RegistryTest, PutThenGetReturnsWarmTable) {
   obs::MetricsRegistry metrics;
