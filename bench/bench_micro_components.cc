@@ -14,8 +14,6 @@
 #include "arith/parser.h"
 #include "gen/generator.h"
 #include "gen/parallel.h"
-#include "ir/ir.h"
-#include "ir/plan_cache.h"
 #include "logic/executor.h"
 #include "logic/parser.h"
 #include "model/features.h"
@@ -164,100 +162,40 @@ void BM_LogicFilterEqIndexed(benchmark::State& state) {
 BENCHMARK(BM_LogicFilterEqIndexed)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
 // ---------------------------------------------------------------------------
-// Compiled-plan VM vs. parse + tree-walk (src/ir/). The VM side holds a
-// pre-compiled plan (the plan-cache-hit regime: no parser, no AST) while
-// the walk side pays parse + tree interpretation per execution, which is
-// exactly what a plan-cache hit skips in serving. Both run over the same
-// warmed index, so the delta is pure program overhead, not data access.
-// The CacheHit variants go through Program::Execute with a warm
-// ir::PlanCache, adding the fingerprint + cache-probe cost a real serving
-// hit pays.
+// Program::Execute per family: parse + tree-walk of one short program per
+// iteration over a warmed index — the per-program cost of every candidate
+// a served request interprets.
 
-void RunPlanVsWalkBench(benchmark::State& state, ProgramType type,
-                        ir::Family family, const char* text, int mode) {
+void RunParseWalkBench(benchmark::State& state, ProgramType type,
+                       const char* text) {
   Table t = BenchTable(static_cast<size_t>(state.range(0)));
   t.WarmIndex();
-  if (mode == 0) {  // parse + tree-walk per iteration
-    Program p{type, text};
-    ExecOptions opts;
-    opts.use_vm = false;
-    for (auto _ : state) {
-      benchmark::DoNotOptimize(p.Execute(t, opts));
-    }
-  } else if (mode == 1) {  // pre-compiled plan, raw VM dispatch
-    ir::Plan plan = ir::Compile(family, text, t.schema()).ValueOrDie();
-    for (auto _ : state) {
-      benchmark::DoNotOptimize(ir::ExecutePlan(plan, t));
-    }
-  } else {  // plan-cache hit through the Program orchestration layer
-    ir::PlanCache cache(16, 1);
-    Program p{type, text};
-    ExecOptions opts;
-    opts.plan_cache = &cache;
-    benchmark::DoNotOptimize(p.Execute(t, opts));  // warm the cache
-    for (auto _ : state) {
-      benchmark::DoNotOptimize(p.Execute(t, opts));
-    }
+  Program p{type, text};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(p.Execute(t));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
-constexpr const char* kPlanSqlQuery =
-    "SELECT total FROM w WHERE nation = 'nation7'";
-
 void BM_SqlParseWalk(benchmark::State& state) {
-  RunPlanVsWalkBench(state, ProgramType::kSql, ir::Family::kSql,
-                     kPlanSqlQuery, 0);
+  RunParseWalkBench(state, ProgramType::kSql,
+                    "SELECT total FROM w WHERE nation = 'nation7'");
 }
 BENCHMARK(BM_SqlParseWalk)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
-void BM_SqlPlanVm(benchmark::State& state) {
-  RunPlanVsWalkBench(state, ProgramType::kSql, ir::Family::kSql,
-                     kPlanSqlQuery, 1);
-}
-BENCHMARK(BM_SqlPlanVm)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
-
-void BM_SqlPlanCacheHit(benchmark::State& state) {
-  RunPlanVsWalkBench(state, ProgramType::kSql, ir::Family::kSql,
-                     kPlanSqlQuery, 2);
-}
-BENCHMARK(BM_SqlPlanCacheHit)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
-
-constexpr const char* kPlanLogicForm =
-    "eq { hop { filter_eq { all_rows ; nation ; nation7 } ; gold } ; 7 }";
-
 void BM_LogicParseWalk(benchmark::State& state) {
-  RunPlanVsWalkBench(state, ProgramType::kLogicalForm, ir::Family::kLogic,
-                     kPlanLogicForm, 0);
+  RunParseWalkBench(
+      state, ProgramType::kLogicalForm,
+      "eq { hop { filter_eq { all_rows ; nation ; nation7 } ; gold } ; 7 }");
 }
 BENCHMARK(BM_LogicParseWalk)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
-void BM_LogicPlanVm(benchmark::State& state) {
-  RunPlanVsWalkBench(state, ProgramType::kLogicalForm, ir::Family::kLogic,
-                     kPlanLogicForm, 1);
-}
-BENCHMARK(BM_LogicPlanVm)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
-
-void BM_LogicPlanCacheHit(benchmark::State& state) {
-  RunPlanVsWalkBench(state, ProgramType::kLogicalForm, ir::Family::kLogic,
-                     kPlanLogicForm, 2);
-}
-BENCHMARK(BM_LogicPlanCacheHit)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
-
-constexpr const char* kPlanArithExpr =
-    "subtract(gold of nation3, gold of nation5), divide(#0, gold of nation5)";
-
 void BM_ArithParseWalk(benchmark::State& state) {
-  RunPlanVsWalkBench(state, ProgramType::kArithmetic, ir::Family::kArith,
-                     kPlanArithExpr, 0);
+  RunParseWalkBench(state, ProgramType::kArithmetic,
+                    "subtract(gold of nation3, gold of nation5), "
+                    "divide(#0, gold of nation5)");
 }
 BENCHMARK(BM_ArithParseWalk)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
-
-void BM_ArithPlanVm(benchmark::State& state) {
-  RunPlanVsWalkBench(state, ProgramType::kArithmetic, ir::Family::kArith,
-                     kPlanArithExpr, 1);
-}
-BENCHMARK(BM_ArithPlanVm)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
 void BM_IndexBuild(benchmark::State& state) {
   Table t = BenchTable(static_cast<size_t>(state.range(0)));

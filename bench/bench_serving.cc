@@ -37,11 +37,9 @@
 #include "common/rng.h"
 #include "fault/fault.h"
 #include "gen/generator.h"
-#include "ir/plan_cache.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "program/library.h"
-#include "program/program.h"
 #include "serve/engine.h"
 #include "serve/server.h"
 #include "table/table.h"
@@ -311,214 +309,6 @@ bool RunStoreComparison(const serve::InferenceEngine& engine) {
   return identical && fast_enough;
 }
 
-/// Stable textual form of an execution outcome, for byte-identity checks
-/// between the tree-walk and compiled-plan paths.
-std::string ExecRepr(const Result<ExecResult>& r) {
-  if (!r.ok()) return "ERR:" + r.status().ToString();
-  const ExecResult& res = r.ValueOrDie();
-  std::string out = "OK:";
-  for (const Value& v : res.values) {
-    out += v.ToDisplayString();
-    out += '|';
-  }
-  out += '#';
-  for (size_t e : res.evidence_rows) {
-    out += std::to_string(e);
-    out += ',';
-  }
-  return out;
-}
-
-/// The --plan comparison. Two layers:
-///
-///   1. Serving byte-identity: the same 200-request stream (verify +
-///      answer over a registered 1k-row table) through four server
-///      configurations — {compiled plans, tree-walk} x {stdio, loopback
-///      TCP} — must produce byte-identical response streams.
-///   2. Per-request execution cost: the claim/question program shapes the
-///      stream exercises, executed walker-style (parse + AST walk every
-///      request) vs through a warm plan cache (fingerprint, hit, VM).
-///      Exit 0 requires a >= 5x per-request speedup for the cached-plan
-///      path on the 1k-row fixture.
-bool RunPlanComparison(const serve::InferenceEngine& engine) {
-  constexpr int kRows = 1000;
-  constexpr int kRequests = 200;
-  const std::string csv = MakeBigCsv(kRows);
-  const std::string escaped = EscapeForJson(csv);
-
-  // Distinct queries per request so the result cache never short-circuits
-  // execution; verify and answer alternate to cover both model paths.
-  auto query_json = [](int i) {
-    int row = (i / 2) % kRows;
-    if (i % 2 == 0) {
-      return "\"op\":\"verify\",\"query\":\"The gold of the row whose "
-             "nation is nation" +
-             std::to_string(row) + " is " + std::to_string((row * 7) % 97) +
-             ".\"";
-    }
-    return "\"op\":\"answer\",\"query\":\"What was the gold of the row "
-           "whose nation is nation" +
-           std::to_string(row) + "?\"";
-  };
-
-  serve::ServerConfig plan_config;
-  plan_config.scheduler.num_workers = 4;
-  plan_config.scheduler.queue_capacity = kRequests + 1;
-  serve::ServerConfig walk_config = plan_config;
-  walk_config.plan_cache_capacity = 0;  // force the tree-walk reference
-
-  struct Pass {
-    const char* label;
-    bool net;
-    const serve::ServerConfig* config;
-  };
-  const Pass passes[] = {
-      {"plan/stdio", false, &plan_config},
-      {"walk/stdio", false, &walk_config},
-      {"plan/tcp", true, &plan_config},
-      {"walk/tcp", true, &walk_config},
-  };
-
-  std::vector<std::vector<std::string>> responses;
-  std::vector<double> wall_ms;
-  uint64_t plan_compiles = 0, plan_fallbacks = 0;
-  for (const Pass& pass : passes) {
-    obs::MetricsRegistry metrics;
-    serve::ServerConfig config = *pass.config;
-    config.metrics = &metrics;
-    serve::Server server(&engine, config);
-    std::string put_response = server.HandleLine(
-        "{\"id\":0,\"op\":\"put_table\",\"table\":\"" + escaped + "\"}");
-    size_t fp_pos = put_response.find("\"fingerprint\":\"");
-    if (fp_pos == std::string::npos) {
-      std::cerr << "bench_serving: put_table failed: " << put_response
-                << "\n";
-      return false;
-    }
-    std::string fingerprint = put_response.substr(fp_pos + 15, 16);
-    std::vector<std::string> requests;
-    for (int i = 0; i < kRequests; ++i) {
-      requests.push_back("{\"id\":" + std::to_string(i + 1) + "," +
-                         query_json(i) + ",\"table_ref\":\"" + fingerprint +
-                         "\"}");
-    }
-    PassResult result = pass.net ? RunNetPass(&server, requests)
-                                 : RunPass(&server, requests);
-    responses.push_back(std::move(result.responses));
-    wall_ms.push_back(result.millis);
-    if (std::string(pass.label) == "plan/stdio") {
-      plan_compiles = metrics.counter("plan_compiles_total")->value();
-      plan_fallbacks =
-          metrics.counter("degraded_plan_fallback_total")->value();
-    }
-  }
-  bool identical = responses[1] == responses[0] &&
-                   responses[2] == responses[0] &&
-                   responses[3] == responses[0];
-
-  // Executor-level cost of the same program shapes the stream runs: the
-  // walker re-parses and re-walks per request; the plan path fingerprints,
-  // hits the cache, and executes bytecode.
-  Table table = Table::FromCsv(csv, "plan bench").ValueOrDie();
-  table.WarmIndex();
-  std::vector<Program> programs;
-  for (int i = 0; i < 20; ++i) {
-    int row = (i * 37) % kRows;
-    programs.push_back(
-        {ProgramType::kLogicalForm,
-         "eq { hop { filter_eq { all_rows ; nation ; nation" +
-             std::to_string(row) + " } ; gold } ; " +
-             std::to_string((row * 7) % 97) + " }"});
-    programs.push_back({ProgramType::kSql,
-                        "SELECT gold FROM w WHERE nation = 'nation" +
-                            std::to_string(row) + "'"});
-  }
-
-  ir::PlanCache plan_cache(256, 8);
-  ExecOptions walk_opts;
-  walk_opts.use_vm = false;
-  ExecOptions hit_opts;
-  hit_opts.plan_cache = &plan_cache;
-
-  // Warm the plan cache and prove byte-identity of the execution layer.
-  bool exec_identical = true;
-  for (const Program& p : programs) {
-    std::string walk = ExecRepr(p.Execute(table, walk_opts));
-    std::string vm = ExecRepr(p.Execute(table, hit_opts));
-    if (walk != vm) {
-      std::cerr << "bench_serving: paths diverge on " << p.text << "\n  walk "
-                << walk << "\n  vm   " << vm << "\n";
-      exec_identical = false;
-    }
-  }
-
-  constexpr int kReps = 500;
-  Clock::time_point walk_start = Clock::now();
-  for (int rep = 0; rep < kReps; ++rep) {
-    for (const Program& p : programs) {
-      if (!p.Execute(table, walk_opts).ok()) return false;
-    }
-  }
-  double walk_total_ms = MillisSince(walk_start);
-  Clock::time_point hit_start = Clock::now();
-  for (int rep = 0; rep < kReps; ++rep) {
-    for (const Program& p : programs) {
-      if (!p.Execute(table, hit_opts).ok()) return false;
-    }
-  }
-  double hit_total_ms = MillisSince(hit_start);
-
-  double execs = static_cast<double>(kReps) * programs.size();
-  double walk_us = walk_total_ms * 1000.0 / execs;
-  double hit_us = hit_total_ms * 1000.0 / execs;
-  double speedup = hit_us > 0.0 ? walk_us / hit_us : 1e9;
-  bool fast_enough = speedup >= 5.0;
-  bool pass = identical && exec_identical && fast_enough;
-
-  std::cout << "compiled-plan comparison (" << kRows << "-row fixture, "
-            << kRequests << " verify/answer requests, 4 workers):\n"
-            << "  serving wall  plan/stdio " << Fixed(wall_ms[0])
-            << " ms, walk/stdio " << Fixed(wall_ms[1]) << " ms, plan/tcp "
-            << Fixed(wall_ms[2]) << " ms, walk/tcp " << Fixed(wall_ms[3])
-            << " ms\n"
-            << "  responses " << (identical ? "byte-identical" : "DIVERGE")
-            << " across plan/walk x stdio/tcp ("
-            << responses[0].size() << " responses); plan compiles "
-            << plan_compiles << ", degraded fallbacks " << plan_fallbacks
-            << "\n"
-            << "  execution: parse+walk " << Fixed(walk_us, 2)
-            << " us/req, cached plan " << Fixed(hit_us, 2) << " us/req ("
-            << programs.size() << " programs x " << kReps << " reps)\n"
-            << "  per-request speedup " << Fixed(speedup, 2) << "x ("
-            << (fast_enough ? "PASS" : "FAIL — need >= 5x") << ")\n"
-            << "  executor results "
-            << (exec_identical ? "byte-identical" : "DIVERGE")
-            << " between walker and VM\n";
-
-  std::ofstream out("BENCH_plan.json");
-  out << "{\n"
-      << "  \"fixture_rows\": " << kRows << ",\n"
-      << "  \"requests\": " << kRequests << ",\n"
-      << "  \"programs\": " << programs.size() << ",\n"
-      << "  \"reps\": " << kReps << ",\n"
-      << "  \"parse_walk_us_per_req\": " << Fixed(walk_us, 3) << ",\n"
-      << "  \"plan_hit_us_per_req\": " << Fixed(hit_us, 3) << ",\n"
-      << "  \"speedup_x\": " << Fixed(speedup, 2) << ",\n"
-      << "  \"plan_compiles\": " << plan_compiles << ",\n"
-      << "  \"degraded_plan_fallbacks\": " << plan_fallbacks << ",\n"
-      << "  \"serving_wall_ms\": {\"plan_stdio\": " << Fixed(wall_ms[0], 2)
-      << ", \"walk_stdio\": " << Fixed(wall_ms[1], 2) << ", \"plan_tcp\": "
-      << Fixed(wall_ms[2], 2) << ", \"walk_tcp\": " << Fixed(wall_ms[3], 2)
-      << "},\n"
-      << "  \"byte_identical_serving\": " << (identical ? "true" : "false")
-      << ",\n"
-      << "  \"byte_identical_executor\": "
-      << (exec_identical ? "true" : "false") << ",\n"
-      << "  \"pass\": " << (pass ? "true" : "false") << "\n}\n";
-  std::cout << "  wrote BENCH_plan.json\n";
-  return pass;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -527,7 +317,6 @@ int main(int argc, char** argv) {
   // cost of degraded operation (scan fallback, cache bypass, retries).
   bool with_net = false;
   bool store_only = false;
-  bool plan_only = false;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto value = [&](const char* what) -> std::string {
@@ -549,12 +338,9 @@ int main(int argc, char** argv) {
       with_net = true;
     } else if (arg == "--store") {
       store_only = true;
-    } else if (arg == "--plan") {
-      plan_only = true;
     } else {
       std::cerr << "bench_serving: unknown flag " << arg
-                << " (--fault-spec SPEC, --fault-seed N, --net, --store, "
-                   "--plan)\n";
+                << " (--fault-spec SPEC, --fault-seed N, --net, --store)\n";
       return 1;
     }
   }
@@ -593,7 +379,6 @@ int main(int argc, char** argv) {
           .ValueOrDie();
 
   if (store_only) return RunStoreComparison(engine) ? 0 : 1;
-  if (plan_only) return RunPlanComparison(engine) ? 0 : 1;
 
   const std::vector<std::string> requests = BuildRequests(/*num_tables=*/24);
   std::cout << "serving benchmark: " << requests.size()

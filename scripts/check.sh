@@ -38,12 +38,6 @@
 #                                           # (resume must be byte-
 #                                           # identical to an
 #                                           # uninterrupted run)
-#   scripts/check.sh plan                   # ir_test (IR/VM/plan-cache
-#                                           # differential suite) + a
-#                                           # uctr_serve drill with the
-#                                           # plan compiler fault-spec'd
-#                                           # (must degrade to tree-walk,
-#                                           # never drop a response)
 #   UCTR_SANITIZE=thread scripts/check.sh   # TSan, full suite
 #   UCTR_SANITIZE=thread scripts/check.sh index_test serve_test
 set -euo pipefail
@@ -453,33 +447,6 @@ if [[ "${1:-}" == router ]]; then
     'router.send=error(unavailable):p=0.05;router.recv=error(unavailable):p=0.05' \
     --fault-seed 7
   echo "router ($SANITIZE) check passed"
-  exit 0
-fi
-if [[ "${1:-}" == plan ]]; then
-  # Compiled-plan mode: the IR/VM differential suite (every program shape
-  # checked walker-vs-VM, plan cache concurrency, codec round-trips, the
-  # bytecode verifier fuzz corpus) under the sanitizer, then a drill of
-  # the real uctr_serve binary with the plan compiler itself failing half
-  # the time. A failed compile must degrade to the tree-walk reference —
-  # every request still gets a byte-identical answer, never an error.
-  ./tests/ir_test
-
-  REQUESTS=$(for i in $(seq 1 20); do
-    printf '{"id":%d,"op":"verify","table":"a,b\\n1,2\\n3,4\\n","query":"The a of the row whose b is 2 is 1."}\n' "$i"
-  done)
-  RESPONSES=$(printf '%s\n' "$REQUESTS" | ./src/serve/uctr_serve serve \
-    --workers 4 --fault-spec 'serve.plan_compile=error:p=0.5' \
-    --fault-seed 7)
-  GOT=$(printf '%s\n' "$RESPONSES" | grep -c '"id"')
-  if [[ "$GOT" -ne 20 ]]; then
-    echo "plan drill: expected 20 responses, got $GOT" >&2
-    exit 1
-  fi
-  if printf '%s\n' "$RESPONSES" | grep -q '"error"'; then
-    echo "plan drill: compile faults must fall back, not error" >&2
-    exit 1
-  fi
-  echo "plan ($SANITIZE) check passed"
   exit 0
 fi
 if [[ "${1:-}" == selftrain ]]; then

@@ -3,15 +3,12 @@
 #include <cmath>
 #include <set>
 
-#include "arith/exec_internal.h"
 #include "arith/parser.h"
 #include "common/numeric.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
 
 namespace uctr::arith {
-
-namespace internal {
 
 namespace {
 
@@ -25,8 +22,8 @@ Result<double> TryCellLookup(const Table& table, const std::string& column,
   return v;
 }
 
-}  // namespace
-
+/// Resolves a `col of row` cell reference to a number. Rows read are added
+/// to `*evidence`. NotFound when no split resolves.
 Result<double> ResolveCellRef(const Table& table, const std::string& column,
                               const std::string& row, const std::string& text,
                               std::set<size_t>* evidence) {
@@ -47,6 +44,8 @@ Result<double> ResolveCellRef(const Table& table, const std::string& column,
   return Status::NotFound("cannot resolve cell reference '" + text + "'");
 }
 
+/// Numeric cells of the row named `name`, or of the column headed `name`.
+/// Rows read are added to `*evidence`.
 Result<std::vector<double>> ResolveSeries(const Table& table,
                                           const std::string& name,
                                           std::set<size_t>* evidence) {
@@ -73,10 +72,6 @@ Result<std::vector<double>> ResolveSeries(const Table& table,
   }
   return Status::ExecutionError("no numeric series named '" + name + "'");
 }
-
-}  // namespace internal
-
-namespace {
 
 class Evaluator {
  public:
@@ -105,8 +100,7 @@ class Evaluator {
       case Operand::Kind::kConst:
         return op.constant;
       case Operand::Kind::kCellRef:
-        return internal::ResolveCellRef(table_, op.column, op.row, op.text,
-                                        &evidence_);
+        return ResolveCellRef(table_, op.column, op.row, op.text, &evidence_);
       case Operand::Kind::kText: {
         // Free text might still be a cell value; try a unique table scan.
         Value wanted = Value::FromText(op.text);
@@ -127,9 +121,8 @@ class Evaluator {
       std::string name = arg.kind == Operand::Kind::kCellRef
                              ? arg.column + " of " + arg.row
                              : arg.text;
-      UCTR_ASSIGN_OR_RETURN(
-          std::vector<double> series,
-          internal::ResolveSeries(table_, name, &evidence_));
+      UCTR_ASSIGN_OR_RETURN(std::vector<double> series,
+                            ResolveSeries(table_, name, &evidence_));
       double acc = series[0];
       double sum = 0;
       for (double x : series) sum += x;

@@ -10,7 +10,7 @@
 #include "common/hash.h"
 
 /// Little-endian byte codec and the frame header shared by the binary
-/// formats (store/codec.h, store/wal.h, ir/codec.cc).
+/// formats (store/codec.h, store/wal.h).
 namespace uctr {
 
 /// \brief Append-only little-endian writer over a std::string.

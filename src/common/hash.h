@@ -7,8 +7,8 @@
 namespace uctr {
 
 /// \brief Seed of every content identity in the repo: codec fingerprints
-/// (and so every `table_ref`), the codec and WAL checksums, schema and
-/// program fingerprints, and the plan and result cache keys.
+/// (and so every `table_ref`), the codec and WAL checksums, and the
+/// result cache keys.
 ///
 /// This is NOT the FNV-1a 64 offset basis: the first copy of the loop
 /// dropped a digit of 14695981039346656037, and the value has since been

@@ -54,9 +54,8 @@ struct Sample {
   std::vector<std::string> paragraph;
   std::string sentence;
 
-  /// \brief How programs interpreted against this sample execute (VM vs
-  /// tree-walk, plan cache). Serving sets this per request so degraded
-  /// mode can force the walker; the default is the compiled path.
+  /// \brief Forwarded to Program::Execute for every program interpreted
+  /// against this sample; it selects nothing (see ExecOptions).
   ExecOptions exec;
 
   /// \brief The evidence table every reader should consult: the borrowed

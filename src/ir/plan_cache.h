@@ -1,93 +1,24 @@
 #ifndef UCTR_IR_PLAN_CACHE_H_
 #define UCTR_IR_PLAN_CACHE_H_
 
-#include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
-#include <optional>
-#include <unordered_map>
-#include <utility>
-#include <vector>
+#include <cstddef>
 
-#include "ir/ir.h"
-#include "obs/metrics.h"
+namespace uctr::obs {
+class MetricsRegistry;
+}
 
 namespace uctr::ir {
 
-/// \brief Sharded LRU cache of compiled plans, keyed by
-/// (program fingerprint, schema fingerprint). A hit hands back an
-/// immutable shared plan: execution touches neither parser nor AST.
-///
-/// Negative entries: a null plan records "this program is not
-/// bytecode-compilable against this schema", so hot unsupported templates
-/// skip re-lowering on every request and go straight to the tree-walk.
-///
-/// Keying on the *schema* fingerprint (column names + types, not cell
-/// contents) means one plan serves every table with that shape, and any
-/// schema change — renamed column, type drift — misses and recompiles.
-/// A first-compile race is benign: both threads compile the same
-/// deterministic plan and the second Put simply refreshes the entry.
+/// \brief Inert stand-in for the retired compiled-plan cache. Programs
+/// always run on their family's tree-walk executor, so this class holds
+/// no state and does nothing; it exists only because the end-to-end
+/// benchmark driver (e2ebench/src/replay.cc) still constructs one and
+/// hands it to ExecOptions::plan_cache. Nothing else may use it; it goes
+/// away together with that use.
 class PlanCache {
  public:
-  /// \param capacity total entry budget (>= 1), split across shards.
-  /// \param num_shards clamped to >= 1.
-  /// \param metrics optional; records `plan_cache_hits_total`,
-  ///        `plan_cache_misses_total`, `plan_cache_evictions_total`, and
-  ///        `plan_compiles_total` (via NoteCompile).
-  explicit PlanCache(size_t capacity, size_t num_shards = 8,
-                     obs::MetricsRegistry* metrics = nullptr);
-
-  /// \brief nullopt = miss (caller should compile and Put). A present
-  /// value may still hold nullptr: known-unsupported, run the walker.
-  std::optional<std::shared_ptr<const Plan>> Get(uint64_t program_fp,
-                                                 uint64_t schema_fp);
-
-  /// \brief Inserts or refreshes an entry (nullptr = negative entry),
-  /// evicting the shard's LRU entry when the shard is at capacity.
-  void Put(uint64_t program_fp, uint64_t schema_fp,
-           std::shared_ptr<const Plan> plan);
-
-  /// \brief Counts one compilation attempt (hit or reject) toward
-  /// `plan_compiles_total`.
-  void NoteCompile();
-
-  /// \brief Total entries across all shards (approximate under concurrency).
-  size_t size() const;
-
-  size_t num_shards() const { return shards_.size(); }
-
-  /// \brief Process-wide cache used when ExecOptions does not name one;
-  /// registered against the default metrics registry.
-  static PlanCache& Default();
-
- private:
-  struct Key {
-    uint64_t program_fp;
-    uint64_t schema_fp;
-    bool operator==(const Key& o) const {
-      return program_fp == o.program_fp && schema_fp == o.schema_fp;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const;
-  };
-  using Entry = std::pair<Key, std::shared_ptr<const Plan>>;
-  struct Shard {
-    std::mutex mu;
-    // Front = most recently used.
-    std::list<Entry> lru;
-    std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index;
-  };
-
-  size_t ShardIndex(const Key& key) const;
-
-  size_t shard_capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  obs::Counter* hits_ = nullptr;
-  obs::Counter* misses_ = nullptr;
-  obs::Counter* evictions_ = nullptr;
-  obs::Counter* compiles_ = nullptr;
+  explicit PlanCache(size_t /*capacity*/, size_t /*num_shards*/ = 8,
+                     obs::MetricsRegistry* /*metrics*/ = nullptr) {}
 };
 
 }  // namespace uctr::ir

@@ -2,21 +2,22 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/numeric.h"
 #include "common/string_util.h"
-#include "logic/exec_internal.h"
 #include "logic/parser.h"
 #include "obs/metrics.h"
 #include "table/index.h"
 
 namespace uctr::logic {
 
-namespace internal {
+namespace {
+
+/// -1 / 0 / +1 comparison classes shared by filter_*, most_*, all_*.
+enum class CmpKind { kEq, kNotEq, kGreater, kLess, kGreaterEq, kLessEq };
 
 Result<CmpKind> CmpFromSuffix(std::string_view op, std::string_view prefix) {
   std::string suffix(op.substr(prefix.size()));
@@ -49,6 +50,7 @@ bool CellMatches(const Value& cell, CmpKind cmp, const Value& ref) {
   return false;
 }
 
+/// CellMatches over cached column data (no per-call parsing).
 bool CellMatchesIndexed(const TableIndex::Column& col, size_t r, CmpKind cmp,
                         const TableIndex::LiteralKey& ref) {
   if (col.is_null[r]) return false;
@@ -69,18 +71,14 @@ bool CellMatchesIndexed(const TableIndex::Column& col, size_t r, CmpKind cmp,
   return false;
 }
 
+/// Rows of `view` matching `cmp ref` on column `col_idx`, in view order.
+/// The equality + string-literal case probes the hash index and returns
+/// the posting list directly for a full-table view; narrowed views keep
+/// view order through a membership mask. Rows evaluated one-by-one are
+/// added to `*rows_scanned` (hash probes are not).
 std::vector<size_t> MatchingRows(const Table& table, const TableIndex* index,
                                  const std::vector<size_t>& view,
                                  size_t col_idx, CmpKind cmp, const Value& ref,
-                                 size_t* rows_scanned) {
-  return MatchingRows(table, index, view, col_idx, cmp, ref, nullptr,
-                      rows_scanned);
-}
-
-std::vector<size_t> MatchingRows(const Table& table, const TableIndex* index,
-                                 const std::vector<size_t>& view,
-                                 size_t col_idx, CmpKind cmp, const Value& ref,
-                                 const TableIndex::LiteralKey* pre_key,
                                  size_t* rows_scanned) {
   std::vector<size_t> out;
   if (index == nullptr) {
@@ -91,9 +89,7 @@ std::vector<size_t> MatchingRows(const Table& table, const TableIndex* index,
     return out;
   }
   const TableIndex::Column& col = index->column(col_idx);
-  std::optional<TableIndex::LiteralKey> local;
-  if (pre_key == nullptr) local.emplace(ref);
-  const TableIndex::LiteralKey& key = pre_key != nullptr ? *pre_key : *local;
+  TableIndex::LiteralKey key(ref);
   if (cmp == CmpKind::kEq && !key.null && !key.numeric) {
     auto hit = col.by_text.find(key.norm);
     if (hit == col.by_text.end()) return out;
@@ -119,6 +115,7 @@ std::vector<size_t> MatchingRows(const Table& table, const TableIndex* index,
   return out;
 }
 
+/// Rows of `view` whose cell in `col_idx` is non-null (filter_all).
 std::vector<size_t> NonNullRows(const Table& table, const TableIndex* index,
                                 const std::vector<size_t>& view,
                                 size_t col_idx) {
@@ -135,8 +132,6 @@ std::vector<size_t> NonNullRows(const Table& table, const TableIndex* index,
   }
   return out;
 }
-
-namespace {
 
 /// OrderedRows through the index. A full view (the common `all_rows`
 /// superlative) reuses the cached sorted permutation outright; subset
@@ -185,8 +180,9 @@ Result<std::vector<size_t>> OrderedRowsIndexed(const Table& table,
   return rows;
 }
 
-}  // namespace
-
+/// Rows of `view` ordered by column value, nulls dropped; ties keep
+/// original order. EmptyResult("superlative on empty view") when nothing
+/// survives.
 Result<std::vector<size_t>> OrderedRows(const Table& table,
                                         const TableIndex* index,
                                         const std::vector<size_t>& view,
@@ -206,6 +202,8 @@ Result<std::vector<size_t>> OrderedRows(const Table& table,
   return rows;
 }
 
+/// sum/avg over the view's column. The caller marks evidence first. Adds
+/// `view.size()` to `*rows_scanned`.
 Result<Value> ViewAggregate(const Table& table, const TableIndex* index,
                             const std::vector<size_t>& view, size_t col_idx,
                             bool average, size_t* rows_scanned) {
@@ -238,12 +236,6 @@ Result<Value> ViewAggregate(const Table& table, const TableIndex* index,
   if (!average) return Value::Number(sum);
   return Value::Number(sum / static_cast<double>(n));
 }
-
-}  // namespace internal
-
-namespace {
-
-using internal::CmpKind;
 
 /// Executor instruments, resolved once (thread-safe function-local
 /// statics); per-program cost is relaxed atomic adds on exit.
@@ -359,7 +351,7 @@ class Evaluator {
     UCTR_ASSIGN_OR_RETURN(std::vector<size_t> view, EvalView(*node.args[0]));
     UCTR_ASSIGN_OR_RETURN(size_t col, Column(*node.args[1]));
     UCTR_ASSIGN_OR_RETURN(Value ref, EvalScalar(*node.args[2]));
-    return LogicValue::View(internal::MatchingRows(
+    return LogicValue::View(MatchingRows(
         table_, index_, view, col, cmp, ref, &rows_scanned_));
   }
 
@@ -371,7 +363,7 @@ class Evaluator {
     UCTR_ASSIGN_OR_RETURN(Value ref, EvalScalar(*node.args[2]));
     if (view.empty()) return Status::EmptyResult("majority over empty view");
     MarkEvidence(view);
-    size_t hits = internal::MatchingRows(table_, index_, view, col, cmp, ref,
+    size_t hits = MatchingRows(table_, index_, view, col, cmp, ref,
                                          &rows_scanned_)
                       .size();
     bool verdict = require_all ? (hits == view.size())
@@ -399,7 +391,7 @@ class Evaluator {
     }
     UCTR_ASSIGN_OR_RETURN(
         std::vector<size_t> rows,
-        internal::OrderedRows(table_, index_, view, col, /*descending=*/max));
+        OrderedRows(table_, index_, view, col, /*descending=*/max));
     if (n > rows.size()) {
       return Status::OutOfRange("ordinal " + std::to_string(n) +
                                 " beyond view of " +
@@ -423,7 +415,7 @@ class Evaluator {
     UCTR_ASSIGN_OR_RETURN(size_t col, Column(*node.args[1]));
     MarkEvidence(view);
     UCTR_ASSIGN_OR_RETURN(
-        Value v, internal::ViewAggregate(table_, index_, view, col,
+        Value v, ViewAggregate(table_, index_, view, col,
                                          /*average=*/node.name != "sum",
                                          &rows_scanned_));
     return LogicValue::Scalar(std::move(v));
@@ -440,10 +432,10 @@ class Evaluator {
                               EvalView(*node.args[0]));
         UCTR_ASSIGN_OR_RETURN(size_t col, Column(*node.args[1]));
         return LogicValue::View(
-            internal::NonNullRows(table_, index_, view, col));
+            NonNullRows(table_, index_, view, col));
       }
       UCTR_ASSIGN_OR_RETURN(CmpKind cmp,
-                            internal::CmpFromSuffix(op, "filter_"));
+                            CmpFromSuffix(op, "filter_"));
       return ApplyFilter(node, cmp);
     }
     if (op == "argmax") return ApplyArgSuperlative(node, true, false);
@@ -527,11 +519,11 @@ class Evaluator {
       return LogicValue::Scalar(Value::Bool(view.size() == 1));
     }
     if (StartsWith(op, "most_")) {
-      UCTR_ASSIGN_OR_RETURN(CmpKind cmp, internal::CmpFromSuffix(op, "most_"));
+      UCTR_ASSIGN_OR_RETURN(CmpKind cmp, CmpFromSuffix(op, "most_"));
       return ApplyMajority(node, cmp, /*require_all=*/false);
     }
     if (StartsWith(op, "all_")) {
-      UCTR_ASSIGN_OR_RETURN(CmpKind cmp, internal::CmpFromSuffix(op, "all_"));
+      UCTR_ASSIGN_OR_RETURN(CmpKind cmp, CmpFromSuffix(op, "all_"));
       return ApplyMajority(node, cmp, /*require_all=*/true);
     }
 

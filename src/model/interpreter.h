@@ -40,8 +40,8 @@ class NlInterpreter {
 
   /// \brief All executable interpretations, best first. `task` selects
   /// claim-style binding (with a derived compared-to value) or
-  /// question-style binding. `exec` picks the execution path for every
-  /// candidate program (compiled VM by default).
+  /// question-style binding. `exec` is forwarded to every candidate
+  /// program's Execute.
   std::vector<Interpretation> RankAll(
       const std::string& sentence, const Table& table, TaskType task,
       const ExecOptions& exec = ExecOptions()) const;

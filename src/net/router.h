@@ -143,8 +143,8 @@ struct RouterConfig {
 ///     `put_table` hashes the store-codec content fingerprint (computed
 ///     the same way the backend's registry will), so the registration
 ///     lands on the shard that later `table_ref` traffic hashes to.
-///     Result-cache, table-registry, and plan-cache affinity all follow,
-///     because all three key off the same evidence;
+///     Result-cache and table-registry affinity both follow, because
+///     both key off the same evidence;
 ///   - keyless requests (no table) round-robin across the ring;
 ///   - each backend sits behind its own circuit breaker; transient
 ///     failures retry with jittered backoff (RouterConfig::retry),

@@ -22,18 +22,12 @@ enum class ProgramType {
 
 const char* ProgramTypeToString(ProgramType type);
 
-/// \brief How a Program executes. The default is the compiled path: lower
-/// to register bytecode (through the plan cache) and run the VM; programs
-/// the lowering rejects fall back to the family tree-walk executor. The
-/// two paths are byte-identical on the accepted subset (tests/ir_test.cc),
-/// so `use_vm` only changes cost, never answers — which also keeps the
-/// generation pipeline's RNG sequence unchanged.
+/// \brief Options for Program::Execute. Programs always run on their
+/// family's tree-walk executor; there is nothing to select.
 struct ExecOptions {
-  /// false = always tree-walk (the differential reference).
-  bool use_vm = true;
-  /// Forwarded to both paths' TableIndex usage.
-  bool use_index = true;
-  /// Compiled-plan cache; nullptr selects ir::PlanCache::Default().
+  /// Ignored. Kept only so the end-to-end benchmark driver
+  /// (e2ebench/src/replay.cc), which sets it, still builds; it goes away
+  /// together with that use.
   ir::PlanCache* plan_cache = nullptr;
 };
 
@@ -50,7 +44,8 @@ struct Program {
   /// pipeline can discard the sample (Algorithm 1, line 14).
   Result<ExecResult> Execute(const Table& table) const;
 
-  /// \brief Execute with explicit path selection (VM vs tree-walk).
+  /// \brief Same as Execute(table); `opts` carries nothing that changes
+  /// execution.
   Result<ExecResult> Execute(const Table& table, const ExecOptions& opts) const;
 
   /// \brief Syntax check without execution.

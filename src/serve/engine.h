@@ -57,9 +57,8 @@ class InferenceEngine {
   /// zero copy, zero index rebuild — which is how table_ref serving
   /// shares one registry-resident table across concurrent requests (the
   /// caller keeps the table alive, e.g. via the registry's shared_ptr).
-  /// All four entry points take `exec`, the program execution options for
-  /// this request: the server passes its plan cache here, and degraded
-  /// requests force the tree-walk path (use_vm = false).
+  /// All four entry points take `exec`, forwarded to Program::Execute for
+  /// every candidate program; it selects nothing (see ExecOptions).
   std::string Verify(Table&& table, const std::string& claim,
                      const std::vector<std::string>& paragraph,
                      const ExecOptions& exec = ExecOptions()) const;

@@ -79,10 +79,6 @@ Server::Server(const InferenceEngine* engine, ServerConfig config)
       retry_(config.retry, /*seed=*/0x5EEDULL, metrics_),
       index_breaker_("index", config.breaker, metrics_),
       cache_breaker_("cache", config.breaker, metrics_),
-      plan_cache_(config.plan_cache_capacity > 0 ? config.plan_cache_capacity
-                                                 : 1,
-                  config.plan_cache_shards, metrics_),
-      plan_breaker_("plan", config.breaker, metrics_),
       requests_total_(metrics_->counter("requests_total")),
       responses_ok_(metrics_->counter("responses_ok_total")),
       responses_rejected_(metrics_->counter("responses_rejected_total")),
@@ -95,8 +91,6 @@ Server::Server(const InferenceEngine* engine, ServerConfig config)
           metrics_->counter("degraded_cache_bypass_total")),
       degraded_store_fallback_(
           metrics_->counter("degraded_store_fallback_total")),
-      degraded_plan_fallback_(
-          metrics_->counter("degraded_plan_fallback_total")),
       execute_us_(metrics_->histogram("latency_execute_us")),
       table_parse_us_(metrics_->histogram("latency_table_parse_us")),
       index_warm_us_(metrics_->histogram("latency_index_warm_us")) {
@@ -550,52 +544,18 @@ void Server::SubmitLine(const std::string& line,
                                   "execute: " + exec_fault.ToString()));
       return;
     }
-    // Compiled-plan stage: by default every interpreted program compiles
-    // to bytecode through the shared plan cache (zero parse, zero AST walk
-    // on a hit). An injected compiler fault — or a plan breaker opened by
-    // earlier faults — degrades this request to the tree-walk reference
-    // path, which produces byte-identical answers.
-    ExecOptions exec;
-    exec.plan_cache = &plan_cache_;
-    if (config_.plan_cache_capacity == 0) exec.use_vm = false;
-    {
-      obs::Span plan_span = tracer_->StartSpan("serve.plan_compile");
-      bool plan_degraded = false;
-      if (exec.use_vm) {
-        if (plan_breaker_.Allow()) {
-          Status plan_fault = UCTR_FAULT_POINT("serve.plan_compile");
-          if (plan_fault.ok()) {
-            plan_breaker_.RecordSuccess();
-          } else {
-            plan_breaker_.RecordFailure();
-            plan_degraded = true;
-          }
-        } else {
-          plan_degraded = true;
-        }
-      }
-      if (plan_degraded) {
-        exec.use_vm = false;
-        degraded_plan_fallback_->Increment();
-        plan_span.AddAttr("degraded", "walk_fallback");
-        degraded = true;
-      }
-    }
     std::string body;
     {
       obs::Span exec_span = tracer_->StartSpan("serve.execute");
       auto exec_started = Scheduler::Clock::now();
       if (shared != nullptr) {
         // Borrow: zero copy, zero warm; many requests share this table.
-        body = op == "verify"
-                   ? engine_->Verify(*shared, query, paragraph, exec)
-                   : engine_->Answer(*shared, query, paragraph, exec);
+        body = op == "verify" ? engine_->Verify(*shared, query, paragraph)
+                              : engine_->Answer(*shared, query, paragraph);
       } else {
         body = op == "verify"
-                   ? engine_->Verify(std::move(*table), query, paragraph,
-                                     exec)
-                   : engine_->Answer(std::move(*table), query, paragraph,
-                                     exec);
+                   ? engine_->Verify(std::move(*table), query, paragraph)
+                   : engine_->Answer(std::move(*table), query, paragraph);
       }
       execute_us_->Observe(std::chrono::duration<double, std::micro>(
                                Scheduler::Clock::now() - exec_started)
@@ -650,17 +610,9 @@ std::string Server::StatsJson() const {
   out += ",\"jobs_shed_deadline_total\":" + count("jobs_shed_deadline_total");
   out += ",\"degraded_store_fallback_total\":" +
          count("degraded_store_fallback_total");
-  out += ",\"degraded_plan_fallback_total\":" +
-         count("degraded_plan_fallback_total");
   out += ",\"cache_hits_total\":" + count("cache_hits_total");
   out += ",\"cache_misses_total\":" + count("cache_misses_total");
   out += ",\"cache_size\":" + std::to_string(cache_.size());
-  out += ",\"plan_compiles_total\":" + count("plan_compiles_total");
-  out += ",\"plan_cache_hits_total\":" + count("plan_cache_hits_total");
-  out += ",\"plan_cache_misses_total\":" + count("plan_cache_misses_total");
-  out += ",\"plan_cache_evictions_total\":" +
-         count("plan_cache_evictions_total");
-  out += ",\"plan_cache_size\":" + std::to_string(plan_cache_.size());
   out += ",\"store_puts_total\":" + count("store_puts_total");
   out += ",\"store_hits_total\":" + count("store_hits_total");
   out += ",\"store_misses_total\":" + count("store_misses_total");

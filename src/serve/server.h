@@ -10,7 +10,6 @@
 #include <string>
 
 #include "fault/policy.h"
-#include "ir/plan_cache.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/backend.h"
@@ -57,12 +56,6 @@ struct ServerConfig {
   /// resident before LRU eviction.
   size_t store_capacity_bytes = 64ull << 20;
   size_t store_shards = 8;
-  /// Entry budget of the compiled-plan cache (ir::PlanCache). Keyed by
-  /// (program fingerprint, schema fingerprint): a table_ref request whose
-  /// interpreted programs hit this cache executes without touching parser
-  /// or AST. 0 disables the VM path entirely (always tree-walk).
-  size_t plan_cache_capacity = 1024;
-  size_t plan_cache_shards = 8;
   /// Durability: when non-empty, the table registry persists to this
   /// directory (store::DurableStore — WAL + snapshot). Startup replays
   /// the directory before serving; `put_table` is acknowledged only after
@@ -215,11 +208,6 @@ class Server : public LineBackend {
   fault::RetryPolicy retry_;
   fault::CircuitBreaker index_breaker_;
   fault::CircuitBreaker cache_breaker_;
-  /// Compiled-plan cache shared by every request this server executes;
-  /// plan_breaker_ guards the compile stage (`serve.plan_compile` fault
-  /// site) — a faulting compiler degrades requests to the tree-walk.
-  ir::PlanCache plan_cache_;
-  fault::CircuitBreaker plan_breaker_;
   std::atomic<bool> draining_{false};
 
   Counter* requests_total_;
@@ -231,7 +219,6 @@ class Server : public LineBackend {
   Counter* degraded_index_fallback_;
   Counter* degraded_cache_bypass_;
   Counter* degraded_store_fallback_;
-  Counter* degraded_plan_fallback_;
   Histogram* execute_us_;
   Histogram* table_parse_us_;
   Histogram* index_warm_us_;

@@ -7,14 +7,15 @@
 
 #include "common/numeric.h"
 #include "obs/metrics.h"
-#include "sql/exec_internal.h"
 #include "sql/parser.h"
 #include "table/index.h"
 
 namespace uctr::sql {
 
-namespace internal {
+namespace {
 
+/// `cell op literal`; a null cell never matches (SQL three-valued logic
+/// collapsed to false).
 bool EvalCondition(CmpOp op, const Value& literal, const Value& cell) {
   if (cell.is_null()) return false;
   switch (op) {
@@ -34,6 +35,8 @@ bool EvalCondition(CmpOp op, const Value& literal, const Value& cell) {
   return false;
 }
 
+/// EvalCondition over cached column data; cell nullness handled here, the
+/// rest mirrors Value::Equals/Compare exactly (see TableIndex contract).
 bool EvalConditionIndexed(const TableIndex::Column& col, size_t r, CmpOp op,
                           const TableIndex::LiteralKey& lit) {
   if (col.is_null[r]) return false;
@@ -54,41 +57,39 @@ bool EvalConditionIndexed(const TableIndex::Column& col, size_t r, CmpOp op,
   return false;
 }
 
-std::vector<size_t> FilterOneIndexed(const TableIndex::Column& col, CmpOp op,
-                                     const TableIndex::LiteralKey& lit,
-                                     const std::vector<size_t>& rows,
-                                     size_t* rows_scanned) {
+/// One WHERE conjunct through the index: narrows `*rows` (ascending, as
+/// produced by iota + prior narrowing) to the matching subset. Equality
+/// against a non-null non-numeric literal intersects with the hash index
+/// posting list (no per-row work, nothing added to rows_scanned) — and
+/// when `*rows` covers the whole table it is necessarily the identity
+/// permutation, so the posting list is taken outright in O(matches);
+/// every other shape tests rows one by one.
+void FilterOneIndexed(const TableIndex::Column& col, CmpOp op,
+                      const TableIndex::LiteralKey& lit,
+                      std::vector<size_t>* rows, size_t* rows_scanned) {
   std::vector<size_t> kept;
   if (op == CmpOp::kEq && !lit.null && !lit.numeric) {
     auto hit = col.by_text.find(lit.norm);
     if (hit != col.by_text.end()) {
-      // Both lists are ascending: intersect directly. No per-row cell
-      // evaluation happens, so nothing is added to rows_scanned. A
-      // full-size rows list is the identity permutation (iota narrowed
-      // by nothing yet), so the posting list is already the answer.
-      if (rows.size() == col.is_null.size()) {
+      if (rows->size() == col.is_null.size()) {
         kept = hit->second;
       } else {
-        std::set_intersection(rows.begin(), rows.end(), hit->second.begin(),
-                              hit->second.end(), std::back_inserter(kept));
+        std::set_intersection(rows->begin(), rows->end(),
+                              hit->second.begin(), hit->second.end(),
+                              std::back_inserter(kept));
       }
     }
   } else {
-    kept.reserve(rows.size());
-    *rows_scanned += rows.size();
-    for (size_t r : rows) {
+    kept.reserve(rows->size());
+    *rows_scanned += rows->size();
+    for (size_t r : *rows) {
       if (EvalConditionIndexed(col, r, op, lit)) kept.push_back(r);
     }
   }
-  return kept;
+  *rows = std::move(kept);
 }
 
-void FilterOneIndexed(const TableIndex::Column& col, CmpOp op,
-                      const TableIndex::LiteralKey& lit,
-                      std::vector<size_t>* rows, size_t* rows_scanned) {
-  *rows = FilterOneIndexed(col, op, lit, *rows, rows_scanned);
-}
-
+/// Aggregate over `rows` of column `col` (ignored when `star`).
 Result<Value> EvalAggregate(AggFunc agg, bool star, bool distinct, size_t col,
                             const Table& table,
                             const std::vector<size_t>& rows) {
@@ -146,6 +147,9 @@ Result<Value> EvalAggregate(AggFunc agg, bool star, bool distinct, size_t col,
   }
 }
 
+/// EvalAggregate over the numeric column cache (SUM/AVG read pre-parsed
+/// doubles, MIN/MAX compare cached keys, COUNT DISTINCT hashes cached
+/// display strings without materializing copies).
 Result<Value> EvalAggregateIndexed(AggFunc agg, bool star, bool distinct,
                                    size_t col_idx, const Table& table,
                                    const TableIndex& index,
@@ -209,10 +213,6 @@ Result<Value> EvalAggregateIndexed(AggFunc agg, bool star, bool distinct,
   return table.cell(best_row, col_idx);
 }
 
-}  // namespace internal
-
-namespace {
-
 /// Executor instruments, resolved once (thread-safe function-local
 /// statics) so the per-query cost is relaxed atomic adds. Row work is
 /// accumulated locally per query and added in one shot.
@@ -246,7 +246,7 @@ Result<std::vector<size_t>> FilterIndexed(const std::vector<Condition>& where,
     UCTR_ASSIGN_OR_RETURN(size_t c, table.ColumnIndex(cond.column));
     const TableIndex::Column& col = index.column(c);
     TableIndex::LiteralKey lit(cond.literal);
-    internal::FilterOneIndexed(col, cond.op, lit, &rows, rows_scanned);
+    FilterOneIndexed(col, cond.op, lit, &rows, rows_scanned);
   }
   return rows;
 }
@@ -260,11 +260,10 @@ Result<Value> EvalAggregateItem(const SelectItem& item, const Table& table,
     UCTR_ASSIGN_OR_RETURN(c, table.ColumnIndex(item.column));
   }
   if (index != nullptr) {
-    return internal::EvalAggregateIndexed(item.agg, item.star, item.distinct,
-                                          c, table, *index, rows);
+    return EvalAggregateIndexed(item.agg, item.star, item.distinct, c, table,
+                                *index, rows);
   }
-  return internal::EvalAggregate(item.agg, item.star, item.distinct, c, table,
-                                 rows);
+  return EvalAggregate(item.agg, item.star, item.distinct, c, table, rows);
 }
 
 }  // namespace
@@ -290,7 +289,7 @@ Result<ExecResult> Execute(const SelectStatement& stmt, const Table& table,
       bool keep = true;
       for (const Condition& cond : stmt.where) {
         UCTR_ASSIGN_OR_RETURN(size_t c, table.ColumnIndex(cond.column));
-        if (!internal::EvalCondition(cond.op, cond.literal, table.cell(r, c))) {
+        if (!EvalCondition(cond.op, cond.literal, table.cell(r, c))) {
           keep = false;
           break;
         }

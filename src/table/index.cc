@@ -1,7 +1,6 @@
 #include "table/index.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/numeric.h"
 #include "common/string_util.h"
@@ -23,9 +22,7 @@ TableIndex::TableIndex(const Table* table)
     : table_(table),
       num_columns_(table->num_columns()),
       once_(std::make_unique<std::once_flag[]>(table->num_columns())),
-      columns_(table->num_columns()),
-      all_rows_once_(std::make_unique<std::once_flag>()),
-      schema_fp_once_(std::make_unique<std::once_flag>()) {}
+      columns_(table->num_columns()) {}
 
 const TableIndex::Column& TableIndex::column(size_t c) const {
   std::call_once(once_[c], [this, c] { BuildColumn(c); });
@@ -34,20 +31,6 @@ const TableIndex::Column& TableIndex::column(size_t c) const {
 
 void TableIndex::Warm() const {
   for (size_t c = 0; c < num_columns_; ++c) column(c);
-}
-
-const std::vector<size_t>& TableIndex::all_rows() const {
-  std::call_once(*all_rows_once_, [this] {
-    all_rows_.resize(table_->num_rows());
-    std::iota(all_rows_.begin(), all_rows_.end(), 0);
-  });
-  return all_rows_;
-}
-
-uint64_t TableIndex::schema_fingerprint() const {
-  std::call_once(*schema_fp_once_,
-                 [this] { schema_fp_ = table_->schema().Fingerprint(); });
-  return schema_fp_;
 }
 
 void TableIndex::BuildColumn(size_t c) const {

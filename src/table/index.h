@@ -77,16 +77,6 @@ class TableIndex {
   /// table load so workers never pay the build inside a request).
   void Warm() const;
 
-  /// \brief The identity view [0, num_rows) — `all_rows` materialized —
-  /// built once and shared so the bytecode VM borrows it instead of
-  /// allocating an O(rows) iota per execution. Thread-safe (call_once),
-  /// valid as long as the index.
-  const std::vector<size_t>& all_rows() const;
-
-  /// \brief Schema::Fingerprint() computed once and cached — the plan-cache
-  /// key and the VM's schema guard read it on every request. Thread-safe.
-  uint64_t schema_fingerprint() const;
-
   size_t num_columns() const { return num_columns_; }
 
   // --- comparison helpers mirroring Value semantics over cached data ---
@@ -112,10 +102,6 @@ class TableIndex {
   size_t num_columns_;
   std::unique_ptr<std::once_flag[]> once_;
   mutable std::vector<std::unique_ptr<Column>> columns_;
-  std::unique_ptr<std::once_flag> all_rows_once_;
-  mutable std::vector<size_t> all_rows_;
-  std::unique_ptr<std::once_flag> schema_fp_once_;
-  mutable uint64_t schema_fp_ = 0;
 };
 
 }  // namespace uctr

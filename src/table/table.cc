@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/hash.h"
 #include "common/string_util.h"
 #include "fault/fault.h"
 #include "table/index.h"
@@ -99,20 +98,6 @@ Result<size_t> Schema::ColumnIndex(std::string_view name) const {
 
 bool Schema::HasColumn(std::string_view name) const {
   return ColumnIndex(name).ok();
-}
-
-uint64_t Schema::Fingerprint() const {
-  // FNV-1a streamed over "name \x1f type \x1e" per column. The byte layout
-  // is a compatibility contract with serialized plans (ir/codec.cc stores
-  // the resulting fingerprint); change it and every cached/persisted plan
-  // silently misses, so don't.
-  uint64_t h = kContentHashSeed;
-  for (const ColumnSpec& col : columns_) {
-    const char tail[3] = {
-        '\x1f', static_cast<char>('0' + static_cast<int>(col.type)), '\x1e'};
-    h = Fnv1a64(std::string_view(tail, 3), Fnv1a64(col.name, h));
-  }
-  return h;
 }
 
 namespace {

@@ -63,12 +63,6 @@ class Schema {
   Result<size_t> ColumnIndex(std::string_view name) const;
   bool HasColumn(std::string_view name) const;
 
-  /// \brief 64-bit FNV-1a over column names and types, the canonical shape
-  /// identity used to key compiled plans. Cell contents do not
-  /// participate. Allocation-free: the hash is streamed, not built from a
-  /// buffer.
-  uint64_t Fingerprint() const;
-
   void AddColumn(ColumnSpec spec) { columns_.push_back(std::move(spec)); }
 
  private:

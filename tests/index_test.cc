@@ -1,13 +1,15 @@
 // Differential tests for the lazily built per-table index (table/index.h).
 //
 // The TableIndex contract is bit-identical execution: for every program the
-// indexed path (ExecOptions::use_index = true, the default) must produce
-// exactly the same outcome as the reference scan path — same status code
-// and message on errors, same values (type and display text), the same
-// evidence rows, and the same tie-breaking row order. These tests execute
-// fixture query suites and randomized tables through both paths and compare
-// the outcomes field by field, including after mutations invalidate the
-// cached index and under concurrent first-touch builds.
+// indexed path (use_index = true, the default) must produce exactly the
+// same outcome as the reference scan path — same status code and message
+// on errors, same values (type and display text), the same evidence rows,
+// and the same tie-breaking row order. These tests execute fixture query
+// suites, every built-in template over randomized tables, and fixed
+// programs of all three families (including ones the executor rejects)
+// through both paths and compare the outcomes field by field, including
+// after mutations invalidate the cached index and under concurrent
+// first-touch builds.
 
 #include <gtest/gtest.h>
 
@@ -17,9 +19,12 @@
 
 #include "common/rng.h"
 #include "logic/executor.h"
+#include "program/library.h"
+#include "program/sampler.h"
 #include "sql/executor.h"
 #include "table/index.h"
 #include "table/table.h"
+#include "tests/test_util.h"
 
 namespace uctr {
 namespace {
@@ -342,6 +347,138 @@ TEST(IndexInvalidationTest, CopiesRebuildMovesCarry) {
   ExpectSqlIdentical(moved, "SELECT total FROM w WHERE nation = 'Canada'");
 }
 
+// Runs `program` through Program::Execute on `table` (indexed) and on a
+// copy with the index disabled — the scan a degraded serving table runs —
+// and requires identical outcomes, down to Value::Equals on every value.
+void ExpectProgramIdentical(const Program& program, const Table& table) {
+  Table scan_copy = table;
+  scan_copy.set_index_enabled(false);
+  auto indexed = program.Execute(table);
+  auto scanned = program.Execute(scan_copy);
+  ASSERT_EQ(DescribeOutcome(indexed), DescribeOutcome(scanned))
+      << ProgramTypeToString(program.type) << " diverged: " << program.text;
+  if (!indexed.ok()) return;
+  for (size_t i = 0; i < indexed->values.size(); ++i) {
+    EXPECT_TRUE(indexed->values[i].Equals(scanned->values[i]))
+        << program.text;
+  }
+}
+
+// Every built-in template, instantiated on three randomized tables per
+// seed, must execute identically on the indexed and the scan path.
+class IndexProgramDifferentialTest
+    : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  Rng rng_{GetParam()};
+};
+
+TEST_P(IndexProgramDifferentialTest, AllBuiltinTemplatesMatchScan) {
+  TemplateLibrary library = TemplateLibrary::Builtin();
+  ProgramSampler sampler(&rng_);
+  size_t executed = 0;
+  for (int round = 0; round < 3; ++round) {
+    Table table = uctr::testing::RandomTable(&rng_);
+    for (const ProgramTemplate& tmpl : library.templates()) {
+      Result<SampledProgram> sampled =
+          tmpl.HasDerive() ? sampler.SampleClaim(tmpl, table, round % 2 == 0)
+                           : sampler.Sample(tmpl, table);
+      if (!sampled.ok()) continue;  // Binding failed on this table; skip.
+      ExpectProgramIdentical(sampled->program, table);
+      ++executed;
+    }
+  }
+  // The library must not silently stop sampling: differential coverage
+  // requires real executions.
+  EXPECT_GT(executed, 20u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IndexProgramDifferentialTest,
+                         ::testing::Values(1, 7, 42, 1234, 99991));
+
+// Fixed programs covering each family's edge cases, including ones the
+// executor rejects: the scan must reproduce the exact error Status too.
+TEST(IndexFixedProgramTest, SqlProgramsMatch) {
+  Table t = uctr::testing::MakeNationsTable();
+  for (const char* text : {
+           "SELECT [nation] FROM w",
+           "SELECT [nation] FROM w WHERE [gold] > '5'",
+           "SELECT COUNT(*) FROM w WHERE [gold] > '5'",
+           "SELECT MAX([total]) FROM w",
+           "SELECT MIN([silver]) FROM w WHERE [bronze] < '9'",
+           "SELECT SUM([gold]) FROM w",
+           "SELECT AVG([total]) FROM w WHERE [gold] >= '5'",
+           "SELECT [nation] FROM w ORDER BY [total] DESC LIMIT 1",
+           "SELECT [nation], [gold] FROM w ORDER BY [gold] ASC",
+           "SELECT COUNT(DISTINCT [gold]) FROM w",
+           // No matching rows: an empty-result error.
+           "SELECT [nation] FROM w WHERE [gold] > '99'",
+           // Unknown column: both paths must fail identically.
+           "SELECT [unobtainium] FROM w",
+       }) {
+    ExpectProgramIdentical({ProgramType::kSql, text}, t);
+  }
+}
+
+TEST(IndexFixedProgramTest, LogicProgramsMatch) {
+  Table t = uctr::testing::MakeNationsTable();
+  for (const char* text : {
+           "eq { hop { filter_eq { all_rows ; nation ; china } ; gold } ; 8 }",
+           "eq { count { filter_greater { all_rows ; gold ; 5 } } ; 2 }",
+           "eq { hop { argmax { all_rows ; total } ; nation } ; "
+           "united states }",
+           "eq { hop { nth_argmin { all_rows ; gold ; 2 } ; nation } ; "
+           "japan }",
+           "round_eq { sum { all_rows ; gold } ; 30 }",
+           "round_eq { avg { all_rows ; silver } ; 6.8 }",
+           "greater { hop { filter_eq { all_rows ; nation ; china } ; gold } "
+           "; hop { filter_eq { all_rows ; nation ; france } ; gold } }",
+           "most_greater { all_rows ; total ; 10 }",
+           "all_greater { all_rows ; total ; 10 }",
+           "only { filter_eq { all_rows ; gold ; 10 } }",
+           "and { eq { count { all_rows } ; 5 } ; most_eq { all_rows ; "
+           "bronze ; 8 } }",
+           "not { eq { count { all_rows } ; 4 } }",
+           "max { all_rows ; total }",
+           "filter_eq { all_rows ; nation ; japan }",
+           // Empty view: hop / majority errors must be reproduced.
+           "hop { filter_eq { all_rows ; nation ; atlantis } ; gold }",
+           "most_eq { filter_eq { all_rows ; nation ; atlantis } ; gold ; "
+           "1 }",
+           // NaN / oversized ordinals: both paths must reject (the NaN
+           // case used to read rows[-1] — found by fuzzing).
+           "eq { hop { nth_argmax { all_rows ; gold ; nan } ; nation } ; "
+           "china }",
+           "eq { hop { nth_argmax { all_rows ; gold ; 1e300 } ; nation } ; "
+           "china }",
+           // diff over text cells: ToNumber failure surfaces identically.
+           "eq { diff { hop { filter_eq { all_rows ; nation ; china } ; "
+           "nation } ; 3 } ; 1 }",
+       }) {
+    ExpectProgramIdentical({ProgramType::kLogicalForm, text}, t);
+  }
+}
+
+TEST(IndexFixedProgramTest, ArithProgramsMatch) {
+  Table t = uctr::testing::MakeFinanceTable();
+  for (const char* text : {
+           "subtract(1200.5, 1000)",
+           "divide(subtract([2019 of revenue], [2018 of revenue]), "
+           "[2018 of revenue])",
+           "add([2019 of gross profit], [2018 of gross profit])",
+           "table_max(2019)",
+           "table_sum(2018)",
+           "table_average(2019)",
+           "greater([2019 of revenue], [2018 of revenue])",
+           "exp(2, 10)",
+           "divide(1, 0)",  // Division by zero: identical error.
+           "[2019 of revenue]",
+           // Unknown cell ref: identical error.
+           "subtract([2019 of warp drive], 1)",
+       }) {
+    ExpectProgramIdentical({ProgramType::kArithmetic, text}, t);
+  }
+}
+
 // Concurrent first-touch: many threads execute indexed programs against
 // one shared const Table whose index has NOT been warmed, so the lazy
 // per-column std::call_once builds race. Run under
@@ -370,6 +507,50 @@ TEST(IndexConcurrencyTest, SharedConstTableAcrossThreads) {
   }
   for (int i = 0; i < kThreads; ++i) {
     EXPECT_EQ(got[i], want) << "thread " << i;
+  }
+}
+
+// Many threads run programs of all three families through Program::Execute
+// against one shared const Table whose index has not been warmed, racing
+// every lazy column build. Must be TSan-clean, and every thread must see
+// the single-threaded scan's outcome.
+TEST(IndexConcurrencyTest, AllFamiliesOnSharedConstTable) {
+  Table table = uctr::testing::MakeNationsTable();
+  const std::vector<Program> programs = {
+      {ProgramType::kSql, "SELECT SUM([gold]) FROM w"},
+      {ProgramType::kSql, "SELECT [nation] FROM w ORDER BY [total] DESC"},
+      {ProgramType::kLogicalForm,
+       "eq { hop { argmax { all_rows ; gold } ; nation } ; united states }"},
+      {ProgramType::kLogicalForm, "most_greater { all_rows ; total ; 10 }"},
+      {ProgramType::kArithmetic, "divide([2019 of x], 2)"},  // Fails at run.
+  };
+  Table scan_copy = table;
+  scan_copy.set_index_enabled(false);
+  std::vector<std::string> expected;
+  for (const Program& p : programs) {
+    expected.push_back(DescribeOutcome(p.Execute(scan_copy)));
+  }
+
+  constexpr int kThreads = 8;
+  std::vector<int> mismatches(kThreads, 0);
+  {
+    std::vector<std::thread> workers;
+    workers.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        for (int iter = 0; iter < 50; ++iter) {
+          for (size_t i = 0; i < programs.size(); ++i) {
+            if (DescribeOutcome(programs[i].Execute(table)) != expected[i]) {
+              ++mismatches[t];
+            }
+          }
+        }
+      });
+    }
+    for (std::thread& w : workers) w.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
   }
 }
 
