@@ -255,24 +255,139 @@ constexpr const char* kReadmeEncodedHex =
     "0000006e6174696f6e0002000100000004000000676f6c640100000108000000"
     "0000000002000000";
 
+// The canonical bytes of `table`, through the registry's encode entry
+// point so these goldens pin the on-disk format, not one code path.
+std::string EncodeBytes(const Table& table) {
+  return TableRegistry::EncodeTable(table).bytes;
+}
+
 TEST(CodecGoldenTest, ReadmeTableFingerprint) {
   Table table = Table::FromCsv(kReadmeCsv).ValueOrDie();
-  EXPECT_EQ(Codec::Fingerprint(Codec::Encode(ColumnarTable::FromTable(table))),
-            "93d25f9ff552e9ce");
+  EXPECT_EQ(Codec::Fingerprint(EncodeBytes(table)), "93d25f9ff552e9ce");
 }
 
 TEST(CodecGoldenTest, ReadmeTableEncodeBytes) {
   Table table = Table::FromCsv(kReadmeCsv).ValueOrDie();
-  EXPECT_EQ(Codec::ToHex(Codec::Encode(ColumnarTable::FromTable(table))),
-            kReadmeEncodedHex);
+  EXPECT_EQ(Codec::ToHex(EncodeBytes(table)), kReadmeEncodedHex);
 }
 
 TEST(CodecGoldenTest, ReadmeTableWalRecordBytes) {
   Table table = Table::FromCsv(kReadmeCsv).ValueOrDie();
-  const std::string payload = Codec::Encode(ColumnarTable::FromTable(table));
+  const std::string payload = EncodeBytes(table);
   EXPECT_EQ(Codec::ToHex(Wal::EncodeRecord(payload)),
             std::string("5557414c010000006800000000000000cee952f59f5fd293") +
                 kReadmeEncodedHex);
+}
+
+// Golden bytes for every column encoding, same contract as above: each
+// table exercises one encoding decision (int64/double with and without
+// surface text, string, bool, mixed, all-null, header-only), the null
+// bitmap and string-pool interning order. Never edit these.
+constexpr const char* kInt64TextHex =
+    "55435442010000009600000000000000b3ce6a3a5a4eaf790200000003000000"
+    "050000007461626c650600000000000000040000003230313904000000323032"
+    "300400000032303231020000003132020000002d330400000079656172010000"
+    "01e307000000000000e407000000000000e50700000000000001000000020000"
+    "000300000005000000756e697473010002010c00000000000000000000000000"
+    "0000fdffffffffffffff040000000000000005000000";
+constexpr const char* kNumericNoTextHex =
+    "554354420100000058000000000000000812532b0828b21f0200000003000000"
+    "05000000706c61696e0100000000000000020000006964010004000100000000"
+    "000000feffffffffffffff000000000000000005000000726174696f01010200"
+    "000000000000e03f000000000000000000000000000002c0";
+constexpr const char* kDoubleTextHex =
+    "554354420100000073000000000000000dc7ee51810156860200000002000000"
+    "050000007461626c65050000000000000007000000726576656e756504000000"
+    "636f73740800000024312c3230302e35060000003430302e3235040000006974"
+    "656d000200010000000200000006000000616d6f756e74010100010000000000"
+    "c2924000000000000479400300000004000000";
+constexpr const char* kStringBoolHex =
+    "55435442010000005400000000000000b9aaa7413cd4480a0200000004000000"
+    "0600000070656f706c65040000000000000005000000616c6963650300000062"
+    "6f62050000006361726f6c040000006e616d6500020001000000020000000300"
+    "0000010000000600000061637469766502030409";
+constexpr const char* kMixedHex =
+    "55435442010000008700000000000000546aede7190f0b4e0200000004000000"
+    "050000007461626c650600000000000000020000006f6b010000006201000000"
+    "6301000000640100000035050000006c6162656c000200010000000200000003"
+    "0000000400000005000000677261646500040801020300000000000000000000"
+    "00000000001440000000000000f03f0000000000000000010000000500000000"
+    "00000000000000";
+constexpr const char* kAllNullHex =
+    "554354420100000041000000000000000b60df2746b6d1670200000002000000"
+    "050000007461626c65030000000000000001000000780100000079040000006e"
+    "616d650002000100000002000000040000006e6f746500020300000000000000"
+    "00";
+constexpr const char* kHeaderOnlyHex =
+    "55435442010000001f00000000000000b3d88da2bde0e59c0200000000000000"
+    "05000000656d70747901000000000000000100000061000201000000620002";
+
+void ExpectGolden(const Table& table, const std::string& hex,
+                  const std::string& fingerprint) {
+  const std::string bytes = EncodeBytes(table);
+  EXPECT_EQ(Codec::ToHex(bytes), hex);
+  EXPECT_EQ(Codec::Fingerprint(bytes), fingerprint);
+  // The golden bytes decode back to a cell-exact copy of the table.
+  Result<std::string> raw = Codec::FromHex(hex);
+  ASSERT_TRUE(raw.ok());
+  obs::MetricsRegistry metrics;
+  TableRegistry registry(RegistryConfig{}, &metrics);
+  Result<PutResult> put = registry.PutEncodedBytes(*raw);
+  ASSERT_TRUE(put.ok()) << put.status().ToString();
+  EXPECT_EQ(put->fingerprint, fingerprint);
+  std::shared_ptr<const Table> back = registry.Get(fingerprint);
+  ASSERT_NE(back, nullptr);
+  ExpectTablesIdentical(table, *back);
+}
+
+TEST(CodecGoldenTest, Int64ColumnsWithSurfaceText) {
+  // "-" is null: the int64 column keeps a null bit and a zero slot.
+  ExpectGolden(
+      Table::FromCsv("year,units\n2019,12\n2020,-\n2021,-3\n").ValueOrDie(),
+      kInt64TextHex, "e3c427d5ff099f9e");
+}
+
+TEST(CodecGoldenTest, NumericColumnsWithoutSurfaceText) {
+  // Values built from doubles carry no text: no text-id array is written.
+  Table table("plain", Schema({{"id", ColumnType::kNumber},
+                               {"ratio", ColumnType::kNumber}}));
+  ASSERT_TRUE(table.AppendRow({Value::Number(1), Value::Number(0.5)}).ok());
+  ASSERT_TRUE(table.AppendRow({Value::Number(-2), Value::Null()}).ok());
+  ASSERT_TRUE(table.AppendRow({Value::Null(), Value::Number(-2.25)}).ok());
+  ExpectGolden(table, kNumericNoTextHex, "cf6f49da38aabec9");
+}
+
+TEST(CodecGoldenTest, DoubleColumnWithSurfaceText) {
+  ExpectGolden(Table::FromCsv("item,amount\nrevenue,\"$1,200.5\"\n"
+                              "cost,400.25\n")
+                   .ValueOrDie(),
+               kDoubleTextHex, "78da549efcd25ac8");
+}
+
+TEST(CodecGoldenTest, StringAndBoolColumns) {
+  ExpectGolden(Table::FromCsv("name,active\nalice,true\nbob,no\n"
+                              "carol,-\nalice,yes\n",
+                              "people")
+                   .ValueOrDie(),
+               kStringBoolHex, "a30805c53a9ee341");
+}
+
+TEST(CodecGoldenTest, MixedColumn) {
+  // String, number-with-text, bool and null cells in one column; "ok"
+  // repeats across columns, so the pool interns it once.
+  ExpectGolden(Table::FromCsv("label,grade\nok,ok\nb,5\nc,yes\nd,-\n")
+                   .ValueOrDie(),
+               kMixedHex, "1045863677f0fe07");
+}
+
+TEST(CodecGoldenTest, AllNullColumn) {
+  ExpectGolden(Table::FromCsv("name,note\nx,-\ny,n/a\n").ValueOrDie(),
+               kAllNullHex, "750c010c282202d2");
+}
+
+TEST(CodecGoldenTest, HeaderOnlyTable) {
+  ExpectGolden(Table::FromCsv("a,b\n", "empty").ValueOrDie(), kHeaderOnlyHex,
+               "3c78af485b055ce9");
 }
 
 TEST(RegistryTest, PutThenGetReturnsWarmTable) {
