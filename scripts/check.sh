@@ -19,7 +19,9 @@
 #                                           # drain)
 #   scripts/check.sh store                  # store_test + a put_table/
 #                                           # table_ref loopback soak
-#                                           # (uctr_load --put-table)
+#                                           # (uctr_load --put-table),
+#                                           # then a hostile table_hex
+#                                           # put and a ping
 #   scripts/check.sh durability             # durable_test + a crash drill
 #                                           # (kill -9 uctr_serve mid-load,
 #                                           # restart on the same
@@ -157,7 +159,7 @@ if [[ "${1:-}" == store ]]; then
   # sanitizer, then a put_table/table_ref loopback soak — every connection
   # registers its fixtures once and drives fingerprint traffic, so the
   # registry's concurrent Put/Get/evict paths run under the sanitizer with
-  # real sockets in front.
+  # real sockets in front — then one hostile put against the same server.
   ./tests/store_test
 
   errlog=$(mktemp)
@@ -179,6 +181,44 @@ if [[ "${1:-}" == store ]]; then
   if ! ./src/net/uctr_load --connect "127.0.0.1:$port" \
       --connections 16 --requests 1280 --pipeline 8 --tables 8 --put-table; then
     echo "store soak: uctr_load --put-table reported failures" >&2
+    kill "$serve_pid" 2>/dev/null || true
+    exit 1
+  fi
+  # Hostile put on the live server: a checksummed 45-byte table_hex whose
+  # header claims 20,000,000 rows of zero columns (tests/test_util.h
+  # ZeroColumnFrame). It must be answered with an error, not decoded into
+  # millions of empty rows, and the server must keep serving.
+  hostile_hex=55435442010000000d000000000000004f72692edb28322900000000002d310101000000780100000000000000
+  if ! python3 - "$port" "$hostile_hex" <<'PY'
+import json, socket, struct, sys
+
+conn = socket.create_connection(("127.0.0.1", int(sys.argv[1])), timeout=60)
+
+
+def read_exactly(n):
+    buf = b""
+    while len(buf) < n:
+        chunk = conn.recv(n - len(buf))
+        if not chunk:
+            sys.exit("connection closed mid-response")
+        buf += chunk
+    return buf
+
+
+def call(request):  # one framed request: 4-byte big-endian length + JSON
+    body = json.dumps(request).encode()
+    conn.sendall(struct.pack(">I", len(body)) + body)
+    (length,) = struct.unpack(">I", read_exactly(4))
+    return json.loads(read_exactly(length))
+
+
+put = call({"id": 1, "op": "put_table", "table_hex": sys.argv[2]})
+ping = call({"id": 2, "op": "ping"})
+if put.get("status") != "error" or ping.get("status") != "ok":
+    sys.exit(f"put answered {put}, then ping answered {ping}")
+PY
+  then
+    echo "store soak: hostile zero-column put_table was not rejected" >&2
     kill "$serve_pid" 2>/dev/null || true
     exit 1
   fi

@@ -10,7 +10,7 @@
 #include "common/json.h"
 #include "fault/fault.h"
 #include "store/codec.h"
-#include "store/columnar.h"
+#include "store/registry.h"
 #include "table/table.h"
 
 namespace uctr::net {
@@ -352,13 +352,11 @@ void Router::HandleJob(Job job) {
   auto started = std::chrono::steady_clock::now();
   RouteInfo& info = job.info;
   if (info.key_is_put_csv) {
-    // Mirror the backend registry's content-fingerprint derivation
-    // (store/registry.cc: FromCsv -> FromTable -> Encode -> Fingerprint)
-    // so this put lands on the shard later table_ref traffic hashes to.
+    // The backend registry's own content fingerprint, so this put lands
+    // on the shard later table_ref traffic hashes to.
     auto table = Table::FromCsv(info.key);
     if (table.ok()) {
-      info.key = store::Codec::Fingerprint(
-          store::Codec::Encode(store::ColumnarTable::FromTable(*table)));
+      info.key = store::TableRegistry::EncodeTable(*table).fingerprint;
     }
     // Unparseable CSV keeps the raw text as key; the shard will produce
     // the canonical parse error.

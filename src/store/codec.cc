@@ -1,6 +1,9 @@
 #include "store/codec.h"
 
-#include <algorithm>
+#include <cmath>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/hash.h"
@@ -15,59 +18,180 @@ Status Corrupt(const std::string& what) {
 
 Status Truncated() { return Corrupt("truncated payload"); }
 
+/// Physical encoding of one column, stored as one byte after its schema
+/// type. Encode picks the narrowest one that represents every cell.
+enum class ColumnEncoding : uint8_t {
+  kInt64 = 0,   ///< every non-null cell is a number with an integral value
+  kDouble = 1,  ///< every non-null cell is a number
+  kString = 2,  ///< every non-null cell is a string (or no cell is non-null)
+  kBool = 3,    ///< every non-null cell is a bool (bit-packed)
+  kMixed = 4,   ///< heterogeneous column: per-cell type tags
+};
+
+/// int64 can hold any integral double in [-2^63, 2^63): both bounds are
+/// exactly representable, the upper one exclusively (casting 2^63 is UB).
+constexpr double kInt64Lo = -9223372036854775808.0;  // -2^63
+constexpr double kInt64Hi = 9223372036854775808.0;   // 2^63
+
+bool FitsInt64(double v) {
+  return std::nearbyint(v) == v && v >= kInt64Lo && v < kInt64Hi;
+}
+
+void SetBit(std::vector<uint8_t>* bits, size_t i) {
+  (*bits)[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
+}
+
+bool GetBit(std::string_view bits, size_t i) {
+  return (static_cast<uint8_t>(bits[i / 8]) >> (i % 8)) & 1;
+}
+
+/// The string pool being built by Encode: ids in first-seen order over
+/// views into the table being encoded.
+class Interner {
+ public:
+  Interner() { Id(""); }
+
+  uint32_t Id(std::string_view text) {
+    auto [it, inserted] =
+        ids_.try_emplace(text, static_cast<uint32_t>(strings_.size()));
+    if (inserted) strings_.push_back(text);
+    return it->second;
+  }
+
+  const std::vector<std::string_view>& strings() const { return strings_; }
+
+ private:
+  std::vector<std::string_view> strings_;
+  std::unordered_map<std::string_view, uint32_t> ids_;
+};
+
+/// The per-column type decision: what value types the column holds,
+/// whether every number is integral, and whether any number kept a
+/// surface text ("$1,234.5").
+ColumnEncoding PickEncoding(const Table& table, size_t c, bool* number_text) {
+  size_t strings = 0, numbers = 0, bools = 0, non_null = 0;
+  bool all_int = true;
+  *number_text = false;
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    const Value& v = table.cell(r, c);
+    if (v.is_null()) continue;
+    ++non_null;
+    if (v.is_string()) {
+      ++strings;
+    } else if (v.is_number()) {
+      ++numbers;
+      if (!FitsInt64(v.number())) all_int = false;
+      if (!v.text().empty()) *number_text = true;
+    } else {
+      ++bools;
+    }
+  }
+  if (non_null == numbers && numbers > 0) {
+    return all_int ? ColumnEncoding::kInt64 : ColumnEncoding::kDouble;
+  }
+  if (non_null == bools && bools > 0) return ColumnEncoding::kBool;
+  if (non_null == strings) return ColumnEncoding::kString;
+  return ColumnEncoding::kMixed;
+}
+
+/// Writes column `c`: name, schema type, encoding, null bitmap, then the
+/// encoding's arrays. Slots under a set null bit are zero.
+void EncodeColumn(const Table& table, size_t c, Interner* pool,
+                  ByteWriter* w) {
+  const size_t rows = table.num_rows();
+  bool number_text = false;
+  const ColumnEncoding encoding = PickEncoding(table, c, &number_text);
+  const ColumnSpec& spec = table.schema().column(c);
+  w->Str(spec.name);
+  w->U8(static_cast<uint8_t>(spec.type));
+  w->U8(static_cast<uint8_t>(encoding));
+
+  std::vector<uint8_t> nulls((rows + 7) / 8, 0);
+  for (size_t r = 0; r < rows; ++r) {
+    if (table.cell(r, c).is_null()) SetBit(&nulls, r);
+  }
+  w->Bytes(nulls.data(), nulls.size());
+
+  // Null, bool and text-less number cells have empty text, so they get
+  // id 0 without touching the pool.
+  auto text_ids = [&] {
+    for (size_t r = 0; r < rows; ++r) {
+      const std::string& text = table.cell(r, c).text();
+      w->U32(text.empty() ? 0 : pool->Id(text));
+    }
+  };
+  switch (encoding) {
+    case ColumnEncoding::kInt64:
+      w->U8(number_text ? 1 : 0);
+      for (size_t r = 0; r < rows; ++r) {
+        const Value& v = table.cell(r, c);
+        w->I64(v.is_null() ? 0 : static_cast<int64_t>(v.number()));
+      }
+      if (number_text) text_ids();
+      break;
+    case ColumnEncoding::kDouble:
+      w->U8(number_text ? 1 : 0);
+      for (size_t r = 0; r < rows; ++r) {
+        const Value& v = table.cell(r, c);
+        w->F64(v.is_null() ? 0.0 : v.number());
+      }
+      if (number_text) text_ids();
+      break;
+    case ColumnEncoding::kString:
+      text_ids();
+      break;
+    case ColumnEncoding::kBool: {
+      std::vector<uint8_t> bits(nulls.size(), 0);
+      for (size_t r = 0; r < rows; ++r) {
+        const Value& v = table.cell(r, c);
+        if (!v.is_null() && v.boolean()) SetBit(&bits, r);
+      }
+      w->Bytes(bits.data(), bits.size());
+      break;
+    }
+    case ColumnEncoding::kMixed:
+      for (size_t r = 0; r < rows; ++r) {
+        w->U8(static_cast<uint8_t>(table.cell(r, c).type()));
+      }
+      for (size_t r = 0; r < rows; ++r) {
+        const Value& v = table.cell(r, c);
+        w->F64(v.is_number() || v.is_bool() ? v.number() : 0.0);
+      }
+      text_ids();
+      break;
+  }
+}
+
 }  // namespace
 
-std::string Codec::Encode(const ColumnarTable& table) {
-  const size_t rows = table.num_rows();
-  const size_t bitmap_bytes = (rows + 7) / 8;
+std::string Codec::Encode(const Table& table) {
+  // Columns are written first because they fill the pool, which the
+  // payload stores ahead of them.
+  Interner pool;
+  std::string columns;
+  ByteWriter cw(&columns);
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    EncodeColumn(table, c, &pool, &cw);
+  }
 
   std::string payload;
   ByteWriter w(&payload);
   w.Str(table.name());
-  w.U32(static_cast<uint32_t>(table.pool().size()));
-  for (const std::string& s : table.pool().strings()) w.Str(s);
-  for (size_t c = 0; c < table.num_columns(); ++c) {
-    const Column& col = table.column(c);
-    w.Str(col.name);
-    w.U8(static_cast<uint8_t>(col.schema_type));
-    w.U8(static_cast<uint8_t>(col.encoding));
-    w.Bytes(col.null_bitmap.data(), bitmap_bytes);
-    switch (col.encoding) {
-      case ColumnEncoding::kInt64:
-        w.U8(col.text_ids.empty() ? 0 : 1);
-        for (int64_t v : col.ints) w.I64(v);
-        for (uint32_t id : col.text_ids) w.U32(id);
-        break;
-      case ColumnEncoding::kDouble:
-        w.U8(col.text_ids.empty() ? 0 : 1);
-        for (double v : col.doubles) w.F64(v);
-        for (uint32_t id : col.text_ids) w.U32(id);
-        break;
-      case ColumnEncoding::kString:
-        for (uint32_t id : col.text_ids) w.U32(id);
-        break;
-      case ColumnEncoding::kBool:
-        w.Bytes(col.bool_bits.data(), bitmap_bytes);
-        break;
-      case ColumnEncoding::kMixed:
-        w.Bytes(col.cell_types.data(), rows);
-        for (double v : col.doubles) w.F64(v);
-        for (uint32_t id : col.text_ids) w.U32(id);
-        break;
-    }
-  }
+  w.U32(static_cast<uint32_t>(pool.strings().size()));
+  for (std::string_view s : pool.strings()) w.Str(s);
+  payload += columns;
 
   std::string out;
   out.reserve(kHeaderBytes + payload.size());
   AppendFrameHeader(&out, kMagic, kVersion, payload);
   ByteWriter h(&out);
   h.U32(static_cast<uint32_t>(table.num_columns()));
-  h.U32(static_cast<uint32_t>(rows));
+  h.U32(static_cast<uint32_t>(table.num_rows()));
   out += payload;
   return out;
 }
 
-Result<ColumnarTable> Codec::Decode(std::string_view bytes) {
+Result<Table> Codec::Decode(std::string_view bytes) {
   const Frame frame = ReadFrame(bytes, kMagic, kVersion, kHeaderBytes);
   switch (frame.error) {
     case FrameError::kShort:
@@ -95,15 +219,19 @@ Result<ColumnarTable> Codec::Decode(std::string_view bytes) {
   ByteReader counts(bytes.substr(kFrameHeaderBytes));
   counts.U32(&num_columns);
   counts.U32(&num_rows);
+  // Rows of zero cells take no payload bytes, so nothing else would bound
+  // them; no encoded table has them.
+  if (num_columns == 0 && num_rows != 0) {
+    return Corrupt(std::to_string(num_rows) + " rows without columns");
+  }
 
   const size_t rows = num_rows;
   const size_t bitmap_bytes = (rows + 7) / 8;
-  ColumnarTable table;
-  table.num_rows_ = rows;
 
   ByteReader r(frame.payload);
-  if (!r.Str(&table.name_)) return Truncated();
-  uint32_t pool_count;
+  std::string name;
+  if (!r.Str(&name)) return Truncated();
+  uint32_t pool_count = 0;
   if (!r.U32(&pool_count)) return Truncated();
   if (pool_count == 0) return Corrupt("empty string pool");
   // Each pool entry costs at least its 4-byte length prefix, so this
@@ -111,72 +239,84 @@ Result<ColumnarTable> Codec::Decode(std::string_view bytes) {
   if (static_cast<uint64_t>(pool_count) * 4 > r.remaining()) {
     return Corrupt("string pool count exceeds payload");
   }
-  std::vector<std::string> strings;
-  strings.reserve(pool_count);
+  std::vector<std::string> pool;
+  pool.reserve(pool_count);
   for (uint32_t i = 0; i < pool_count; ++i) {
     std::string s;
     if (!r.Str(&s)) return Truncated();
-    strings.push_back(std::move(s));
+    pool.push_back(std::move(s));
   }
-  if (!strings[0].empty()) return Corrupt("pool id 0 is not empty string");
-  table.pool_ = StringPool::FromStrings(std::move(strings));
+  if (!pool[0].empty()) return Corrupt("pool id 0 is not empty string");
 
-  table.columns_.reserve(
-      std::min<size_t>(num_columns, r.remaining() / 2 + 1));
+  // Every column costs at least a name length prefix, two type bytes, the
+  // null bitmap and a bool bitmap (the narrowest encoding). Checking that
+  // before sizing the cell grid bounds rows x columns by the input size.
+  if (static_cast<uint64_t>(num_columns) * (6 + 2 * bitmap_bytes) >
+      r.remaining()) {
+    return Truncated();
+  }
+  std::vector<ColumnSpec> specs;
+  specs.reserve(num_columns);
+  std::vector<Table::Row> cells(rows, Table::Row(num_columns));
+
+  std::vector<double> numbers;     // kInt64, kDouble, kMixed
+  std::vector<uint32_t> text_ids;  // empty when the column stores no text
   for (uint32_t c = 0; c < num_columns; ++c) {
-    Column col;
-    if (!r.Str(&col.name)) return Truncated();
-    uint8_t schema_type, encoding;
-    if (!r.U8(&schema_type) || !r.U8(&encoding)) return Truncated();
+    ColumnSpec spec;
+    uint8_t schema_type = 0, encoding_byte = 0;
+    if (!r.Str(&spec.name) || !r.U8(&schema_type) || !r.U8(&encoding_byte)) {
+      return Truncated();
+    }
     if (schema_type > static_cast<uint8_t>(ColumnType::kBool)) {
-      return Corrupt("column '" + col.name + "': bad schema type " +
+      return Corrupt("column '" + spec.name + "': bad schema type " +
                      std::to_string(schema_type));
     }
-    if (encoding > static_cast<uint8_t>(ColumnEncoding::kMixed)) {
-      return Corrupt("column '" + col.name + "': bad encoding " +
-                     std::to_string(encoding));
+    if (encoding_byte > static_cast<uint8_t>(ColumnEncoding::kMixed)) {
+      return Corrupt("column '" + spec.name + "': bad encoding " +
+                     std::to_string(encoding_byte));
     }
-    col.schema_type = static_cast<ColumnType>(schema_type);
-    col.encoding = static_cast<ColumnEncoding>(encoding);
-    if (r.remaining() < bitmap_bytes) return Truncated();
-    col.null_bitmap.resize(bitmap_bytes);
-    if (!r.Bytes(col.null_bitmap.data(), bitmap_bytes)) return Truncated();
+    spec.type = static_cast<ColumnType>(schema_type);
+    const auto encoding = static_cast<ColumnEncoding>(encoding_byte);
+    std::string_view nulls;
+    if (!r.Take(bitmap_bytes, &nulls)) return Truncated();
 
+    numbers.clear();
+    text_ids.clear();
+    std::string_view bits;  // kBool values, kMixed cell types
+    auto read_numbers = [&](bool as_int64) -> Status {
+      if (r.remaining() < rows * 8) return Truncated();
+      numbers.resize(rows);
+      for (size_t i = 0; i < rows; ++i) {
+        if (as_int64) {
+          int64_t v = 0;
+          r.I64(&v);
+          numbers[i] = static_cast<double>(v);
+        } else {
+          r.F64(&numbers[i]);
+        }
+      }
+      return Status::OK();
+    };
     auto read_text_ids = [&]() -> Status {
       if (r.remaining() < rows * 4) return Truncated();
-      col.text_ids.resize(rows);
+      text_ids.resize(rows);
       for (size_t i = 0; i < rows; ++i) {
-        if (!r.U32(&col.text_ids[i])) return Truncated();
-        if (!table.pool_.valid(col.text_ids[i])) {
-          return Corrupt("column '" + col.name + "': string id " +
-                         std::to_string(col.text_ids[i]) + " out of range");
+        r.U32(&text_ids[i]);
+        if (text_ids[i] >= pool.size()) {
+          return Corrupt("column '" + spec.name + "': string id " +
+                         std::to_string(text_ids[i]) + " out of range");
         }
       }
       return Status::OK();
     };
 
-    switch (col.encoding) {
-      case ColumnEncoding::kInt64: {
-        uint8_t has_text;
-        if (!r.U8(&has_text)) return Truncated();
-        if (has_text > 1) return Corrupt("bad has_text flag");
-        if (r.remaining() < rows * 8) return Truncated();
-        col.ints.resize(rows);
-        for (size_t i = 0; i < rows; ++i) {
-          if (!r.I64(&col.ints[i])) return Truncated();
-        }
-        if (has_text) UCTR_RETURN_NOT_OK(read_text_ids());
-        break;
-      }
+    switch (encoding) {
+      case ColumnEncoding::kInt64:
       case ColumnEncoding::kDouble: {
-        uint8_t has_text;
+        uint8_t has_text = 0;
         if (!r.U8(&has_text)) return Truncated();
         if (has_text > 1) return Corrupt("bad has_text flag");
-        if (r.remaining() < rows * 8) return Truncated();
-        col.doubles.resize(rows);
-        for (size_t i = 0; i < rows; ++i) {
-          if (!r.F64(&col.doubles[i])) return Truncated();
-        }
+        UCTR_RETURN_NOT_OK(read_numbers(encoding == ColumnEncoding::kInt64));
         if (has_text) UCTR_RETURN_NOT_OK(read_text_ids());
         break;
       }
@@ -184,32 +324,63 @@ Result<ColumnarTable> Codec::Decode(std::string_view bytes) {
         UCTR_RETURN_NOT_OK(read_text_ids());
         break;
       case ColumnEncoding::kBool:
-        if (r.remaining() < bitmap_bytes) return Truncated();
-        col.bool_bits.resize(bitmap_bytes);
-        if (!r.Bytes(col.bool_bits.data(), bitmap_bytes)) return Truncated();
+        if (!r.Take(bitmap_bytes, &bits)) return Truncated();
         break;
       case ColumnEncoding::kMixed:
         if (r.remaining() < rows * (1 + 8 + 4)) return Truncated();
-        col.cell_types.resize(rows);
-        if (!r.Bytes(col.cell_types.data(), rows)) return Truncated();
-        for (uint8_t t : col.cell_types) {
-          if (t > static_cast<uint8_t>(ValueType::kBool)) {
-            return Corrupt("column '" + col.name + "': bad cell type " +
-                           std::to_string(t));
+        r.Take(rows, &bits);
+        for (char t : bits) {
+          const auto type = static_cast<uint8_t>(t);
+          if (type > static_cast<uint8_t>(ValueType::kBool)) {
+            return Corrupt("column '" + spec.name + "': bad cell type " +
+                           std::to_string(type));
           }
         }
-        col.doubles.resize(rows);
-        for (size_t i = 0; i < rows; ++i) {
-          if (!r.F64(&col.doubles[i])) return Truncated();
-        }
+        UCTR_RETURN_NOT_OK(read_numbers(false));
         UCTR_RETURN_NOT_OK(read_text_ids());
         break;
     }
-    table.columns_.push_back(std::move(col));
+
+    // Cells start null; the null bitmap overrides every other array.
+    const ValueType column_type =
+        encoding == ColumnEncoding::kString ? ValueType::kString
+        : encoding == ColumnEncoding::kBool ? ValueType::kBool
+                                            : ValueType::kNumber;
+    for (size_t i = 0; i < rows; ++i) {
+      if (GetBit(nulls, i)) continue;
+      const std::string& text = text_ids.empty() ? pool[0] : pool[text_ids[i]];
+      const ValueType type =
+          encoding == ColumnEncoding::kMixed
+              ? static_cast<ValueType>(static_cast<uint8_t>(bits[i]))
+              : column_type;
+      Value& cell = cells[i][c];
+      switch (type) {
+        case ValueType::kString:
+          cell = Value::String(text);
+          break;
+        case ValueType::kNumber:
+          cell = text.empty() ? Value::Number(numbers[i])
+                              : Value::NumberWithText(numbers[i], text);
+          break;
+        case ValueType::kBool:
+          cell = Value::Bool(encoding == ColumnEncoding::kBool
+                                 ? GetBit(bits, i)
+                                 : numbers[i] != 0.0);
+          break;
+        case ValueType::kNull:
+          break;
+      }
+    }
+    specs.push_back(std::move(spec));
   }
   if (!r.done()) {
     return Corrupt(std::to_string(r.remaining()) +
                    " trailing bytes after last column");
+  }
+
+  Table table(std::move(name), Schema(std::move(specs)));
+  for (Table::Row& row : cells) {
+    UCTR_RETURN_NOT_OK(table.AppendRow(std::move(row)));
   }
   return table;
 }

@@ -7,29 +7,33 @@
 
 #include "common/result.h"
 #include "common/status.h"
-#include "store/columnar.h"
+#include "table/table.h"
 
 namespace uctr::store {
 
-/// \brief Versioned binary serialization for ColumnarTable.
+/// \brief Versioned binary serialization for Table.
 ///
 /// Layout: the shared 24-byte frame header of common/bytes.h (magic
 /// "UCTB", codec version 1, payload size, payload checksum), then u32
 /// column count and u32 row count — 32 header bytes — then the payload.
 ///
-/// The payload is the table name, the string pool, then each column
-/// (name, schema type, encoding, null bitmap, encoding-specific arrays),
-/// every variable-length field length-prefixed with a u32. All numeric
-/// array data is fixed-width little-endian, so the column arrays in a
-/// file produced by Encode can be mapped and walked in place by a future
-/// mmap reader — nothing in the layout requires a deserialization pass
-/// to locate.
+/// The payload is the table name, a string pool, then each column (name,
+/// schema type, encoding, null bitmap, encoding-specific arrays), every
+/// variable-length field length-prefixed with a u32 and every number
+/// fixed-width little-endian. Encode picks each column's encoding in one
+/// pass over its cells: int64 or double when every non-null cell is a
+/// number (plus a pool id per cell when any kept its surface text,
+/// "$1,234.5"), pool ids for strings, packed bits for bools, and per-cell
+/// type tags for a mixed column. The pool interns each distinct string
+/// once, columns left to right and rows top to bottom; id 0 is the empty
+/// string.
 ///
-/// Decode is total: any byte string either yields a valid ColumnarTable
-/// or an error Status. Truncation, trailing garbage, bad magic, version
-/// skew, checksum mismatch, out-of-range enums/string ids, and
-/// length-prefix overflows are all detected before any allocation sized
-/// from untrusted input.
+/// Decode is total: any byte string either yields a valid Table — same
+/// schema column types and cell Values, surface text included — or an
+/// error Status. Truncation, trailing garbage, bad magic, version skew,
+/// checksum mismatch, out-of-range enums/string ids, rows without columns
+/// and length-prefix overflows are all detected before any allocation
+/// sized from untrusted input.
 class Codec {
  public:
   static constexpr char kMagic[4] = {'U', 'C', 'T', 'B'};
@@ -37,12 +41,12 @@ class Codec {
   static constexpr size_t kHeaderBytes = 32;
 
   /// \brief Serializes `table`. The output is canonical: encoding the
-  /// result of Decode (or of FromTable on a round-tripped Table) yields
-  /// byte-identical output, which makes content fingerprints stable.
-  static std::string Encode(const ColumnarTable& table);
+  /// result of Decode yields byte-identical output, which makes content
+  /// fingerprints stable.
+  static std::string Encode(const Table& table);
 
   /// \brief Parses and fully validates `bytes` (see class comment).
-  static Result<ColumnarTable> Decode(std::string_view bytes);
+  static Result<Table> Decode(std::string_view bytes);
 
   /// \brief Content fingerprint of encoded bytes: Fnv1a64 with
   /// kContentHashSeed (common/hash.h) rendered as 16 lowercase hex chars.

@@ -253,15 +253,9 @@ Result<PutResult> DurableStore::Put(Table table) {
 Result<PutResult> DurableStore::PutEncodedBytes(std::string_view bytes) {
   // Validate fully before logging — the WAL must never hold bytes that
   // cannot replay.
-  Result<ColumnarTable> columnar = Codec::Decode(bytes);
-  if (!columnar.ok()) return columnar.status();
-  Result<Table> table = columnar->ToTable();
-  if (!table.ok()) return table.status();
-
   EncodedTable encoded;
-  encoded.bytes.assign(bytes.data(), bytes.size());
-  encoded.fingerprint = Codec::Fingerprint(bytes);
-  encoded.approx_bytes = columnar->ApproxBytes();
+  Result<Table> table = TableRegistry::DecodeTable(bytes, &encoded);
+  if (!table.ok()) return table.status();
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (refs_.find(encoded.fingerprint) == refs_.end()) {

@@ -41,12 +41,21 @@ TableRegistry::Shard& TableRegistry::ShardFor(std::string_view fingerprint) {
 }
 
 EncodedTable TableRegistry::EncodeTable(const Table& table) {
-  ColumnarTable columnar = ColumnarTable::FromTable(table);
   EncodedTable out;
-  out.bytes = Codec::Encode(columnar);
+  out.bytes = Codec::Encode(table);
   out.fingerprint = Codec::Fingerprint(out.bytes);
-  out.approx_bytes = columnar.ApproxBytes();
+  out.approx_bytes = out.bytes.size();
   return out;
+}
+
+Result<Table> TableRegistry::DecodeTable(std::string_view bytes,
+                                         EncodedTable* encoded) {
+  Result<Table> table = Codec::Decode(bytes);
+  if (!table.ok()) return table;
+  encoded->bytes.assign(bytes.data(), bytes.size());
+  encoded->fingerprint = Codec::Fingerprint(bytes);
+  encoded->approx_bytes = bytes.size();
+  return table;
 }
 
 Result<PutResult> TableRegistry::Put(Table table) {
@@ -55,14 +64,9 @@ Result<PutResult> TableRegistry::Put(Table table) {
 }
 
 Result<PutResult> TableRegistry::PutEncodedBytes(std::string_view bytes) {
-  Result<ColumnarTable> columnar = Codec::Decode(bytes);
-  if (!columnar.ok()) return columnar.status();
-  Result<Table> table = columnar->ToTable();
-  if (!table.ok()) return table.status();
   EncodedTable encoded;
-  encoded.bytes.assign(bytes.data(), bytes.size());
-  encoded.fingerprint = Codec::Fingerprint(bytes);
-  encoded.approx_bytes = columnar->ApproxBytes();
+  Result<Table> table = DecodeTable(bytes, &encoded);
+  if (!table.ok()) return table.status();
   return PutPreEncoded(std::move(*table), encoded);
 }
 

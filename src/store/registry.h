@@ -19,26 +19,30 @@
 namespace uctr::store {
 
 struct RegistryConfig {
-  /// Total byte budget across all shards. A table whose own footprint
-  /// exceeds the per-shard budget is still admitted (alone in its shard)
-  /// so oversized evidence tables are cacheable rather than thrashing.
+  /// Total byte budget across all shards, counted in encoded table bytes
+  /// (EncodedTable::approx_bytes). A table whose own size exceeds the
+  /// per-shard budget is still admitted (alone in its shard) so
+  /// oversized evidence tables are cacheable rather than thrashing.
   size_t capacity_bytes = 64ull << 20;
   size_t num_shards = 8;
 };
 
 struct PutResult {
   std::string fingerprint;  ///< 16-hex content address of the table bytes
-  size_t bytes = 0;         ///< accounted footprint of the stored table
+  size_t bytes = 0;         ///< accounted size: the table's encoded bytes
   bool inserted = false;    ///< false: identical table was already present
 };
 
 /// \brief A table's canonical codec bytes plus the facts derived from
-/// them, produced once by EncodeTable so the durable path (encode → WAL
-/// append → registry insert) never encodes the same table twice.
+/// them, produced once by EncodeTable (or DecodeTable) so the durable path
+/// (encode → WAL append → registry insert) never encodes the same table
+/// twice.
 struct EncodedTable {
   std::string bytes;        ///< canonical store::Codec bytes
   std::string fingerprint;  ///< Codec::Fingerprint(bytes)
-  size_t approx_bytes = 0;  ///< in-memory footprint for LRU accounting
+  /// The encoded size, bytes.size(): the unit of the registry's byte
+  /// budget and LRU accounting.
+  size_t approx_bytes = 0;
 };
 
 /// \brief Content-addressed cache of served evidence tables.
@@ -67,9 +71,17 @@ class TableRegistry {
   explicit TableRegistry(RegistryConfig config = {},
                          obs::MetricsRegistry* metrics = nullptr);
 
-  /// \brief Canonically encodes `table` (FromTable → Codec::Encode) and
-  /// derives its fingerprint and footprint. Pure; no registry state.
+  /// \brief Canonically encodes `table` (Codec::Encode) and derives its
+  /// fingerprint and size. Pure; no registry state.
   static EncodedTable EncodeTable(const Table& table);
+
+  /// \brief The inverse: decodes and validates codec bytes (Codec::Decode)
+  /// and fills `encoded` from them, the fingerprint recomputed from
+  /// `bytes` so a caller cannot register content under a wrong address.
+  /// Pure; the decode path of this class's and DurableStore's
+  /// PutEncodedBytes.
+  static Result<Table> DecodeTable(std::string_view bytes,
+                                   EncodedTable* encoded);
 
   /// \brief Registers `table` under its content fingerprint, warming its
   /// index first so readers never pay the build. Dedups on fingerprint.
@@ -82,9 +94,8 @@ class TableRegistry {
   Result<PutResult> PutPreEncoded(Table table, const EncodedTable& encoded);
 
   /// \brief Registers a table from its canonical codec bytes (WAL replay,
-  /// snapshot load, router read-repair's table_hex). Decodes, validates,
-  /// and inserts; the fingerprint is recomputed from `bytes` so a caller
-  /// cannot register content under a wrong address.
+  /// snapshot load, router read-repair's table_hex): DecodeTable, then
+  /// PutPreEncoded.
   Result<PutResult> PutEncodedBytes(std::string_view bytes);
 
   /// \brief Looks up a registered table; nullptr on miss (counted).

@@ -22,7 +22,6 @@
 #include "serve/engine.h"
 #include "serve/server.h"
 #include "store/codec.h"
-#include "store/columnar.h"
 #include "store/durable_registry.h"
 #include "store/registry.h"
 #include "store/wal.h"
@@ -82,7 +81,7 @@ Wal::Options NoSyncOptions(obs::MetricsRegistry* metrics = nullptr) {
 }
 
 std::string EncodeTableBytes(const Table& table) {
-  return Codec::Encode(ColumnarTable::FromTable(table));
+  return Codec::Encode(table);
 }
 
 // ------------------------------------------------------------------ Wal
@@ -613,6 +612,24 @@ TEST(ServerDurableTest, GetTableAndPutTableHexRoundTrip) {
   std::string bad = server.HandleLine(
       "{\"id\":6,\"op\":\"put_table\",\"table_hex\":\"zz\"}");
   EXPECT_NE(bad.find("\"status\":\"error\""), std::string::npos);
+}
+
+TEST(ServerDurableTest, PutTableHexWithRowsButNoColumnsIsNotLogged) {
+  // A frame that decodes must never reach the WAL unless it can replay
+  // as a real table: this one would re-allocate 20M empty rows on every
+  // restart.
+  TempDir dir;
+  obs::MetricsRegistry metrics;
+  Server server(&SharedEngine(), DurableServerConfig(dir.path(), &metrics));
+  ASSERT_TRUE(server.recovery_status().ok());
+  const std::string hex =
+      Codec::ToHex(testing::ZeroColumnFrame(20'000'000));
+  std::string put = server.HandleLine(
+      "{\"id\":1,\"op\":\"put_table\",\"table_hex\":\"" + hex + "\"}");
+  EXPECT_NE(put.find("\"status\":\"error\""), std::string::npos) << put;
+  EXPECT_EQ(server.durable_store()->durable_tables(), 0u);
+  EXPECT_EQ(metrics.counter("store_wal_appends_total")->value(), 0u);
+  EXPECT_EQ(server.registry()->table_count(), 0u);
 }
 
 TEST(ServerDurableTest, RecoveryFailureIsSurfacedNotSwallowed) {

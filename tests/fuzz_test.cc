@@ -13,6 +13,7 @@
 
 #include "arith/executor.h"
 #include "arith/parser.h"
+#include "common/bytes.h"
 #include "gen/serialize.h"
 #include "logic/executor.h"
 #include "logic/parser.h"
@@ -21,7 +22,6 @@
 #include "sql/executor.h"
 #include "sql/parser.h"
 #include "store/codec.h"
-#include "store/columnar.h"
 #include "store/wal.h"
 #include "table/table.h"
 #include "tests/test_util.h"
@@ -157,7 +157,7 @@ TEST_P(FuzzTest, TableCodecNeverCrashesOnGarbage) {
   // Status (or, vanishingly unlikely, a usable table), never crash.
   for (int i = 0; i < 300; ++i) {
     auto decoded = store::Codec::Decode(RandomGarbage(&rng_, 400));
-    if (decoded.ok()) (void)decoded->ToTable();
+    if (decoded.ok()) (void)store::Codec::Encode(*decoded);
   }
 }
 
@@ -166,8 +166,7 @@ TEST_P(FuzzTest, TableCodecSurvivesTornFrameDelivery) {
   // random boundaries: reassembly must reproduce the exact codec bytes,
   // so the fingerprint — and therefore the registry identity — is stable
   // across the wire.
-  std::string encoded = store::Codec::Encode(
-      store::ColumnarTable::FromTable(testing::MakeFinanceTable()));
+  std::string encoded = store::Codec::Encode(testing::MakeFinanceTable());
   std::string fingerprint = store::Codec::Fingerprint(encoded);
   for (int round = 0; round < 20; ++round) {
     std::string stream = net::EncodeFrame(encoded).ValueOrDie();
@@ -190,8 +189,7 @@ TEST_P(FuzzTest, TableCodecSurvivesTornFrameDelivery) {
 TEST_P(FuzzTest, TableCodecRejectsBitFlippedFrames) {
   // Corruption introduced mid-flight must surface as a decode error, not
   // a silently different table.
-  std::string encoded = store::Codec::Encode(
-      store::ColumnarTable::FromTable(testing::MakeNationsTable()));
+  std::string encoded = store::Codec::Encode(testing::MakeNationsTable());
   for (int i = 0; i < 100; ++i) {
     std::string corrupt = encoded;
     size_t byte = rng_.Index(corrupt.size());
@@ -199,6 +197,161 @@ TEST_P(FuzzTest, TableCodecRejectsBitFlippedFrames) {
     EXPECT_FALSE(store::Codec::Decode(corrupt).ok())
         << "bit flip at byte " << byte;
   }
+}
+
+// Offsets of the fields of a valid table codec encoding that a structure
+// aware mutator targets, found by walking the layout of codec.h.
+struct CodecFields {
+  std::vector<size_t> u32s;   // length prefixes and the pool count
+  std::vector<size_t> bytes;  // schema types, encodings, has_text, tags
+  std::vector<size_t> ids;    // string ids
+};
+
+CodecFields WalkCodecLayout(std::string_view encoded) {
+  CodecFields f;
+  ByteReader header(encoded.substr(kFrameHeaderBytes));
+  uint32_t columns = 0, rows = 0;
+  header.U32(&columns);
+  header.U32(&rows);
+  const size_t bitmap = (rows + 7) / 8;
+  size_t pos = store::Codec::kHeaderBytes;
+  auto u32_at = [&](size_t at) {
+    uint32_t v = 0;
+    ByteReader(encoded.substr(at)).U32(&v);
+    return v;
+  };
+  auto str = [&] {
+    f.u32s.push_back(pos);
+    pos += 4 + u32_at(pos);
+  };
+  auto ids = [&] {
+    for (uint32_t r = 0; r < rows; ++r, pos += 4) f.ids.push_back(pos);
+  };
+  str();  // table name
+  f.u32s.push_back(pos);
+  const uint32_t pool = u32_at(pos);
+  pos += 4;
+  for (uint32_t i = 0; i < pool; ++i) str();
+  for (uint32_t c = 0; c < columns; ++c) {
+    str();  // column name
+    f.bytes.push_back(pos);
+    f.bytes.push_back(pos + 1);
+    const uint8_t encoding = static_cast<uint8_t>(encoded[pos + 1]);
+    pos += 2 + bitmap;
+    if (encoding <= 1) {  // int64 / double
+      f.bytes.push_back(pos);
+      const bool has_text = encoded[pos] != 0;
+      pos += 1 + 8 * rows;
+      if (has_text) ids();
+    } else if (encoding == 2) {  // string
+      ids();
+    } else if (encoding == 3) {  // bool
+      pos += bitmap;
+    } else {  // mixed
+      for (uint32_t r = 0; r < rows; ++r) f.bytes.push_back(pos + r);
+      pos += rows + 8 * rows;
+      ids();
+    }
+  }
+  return f;
+}
+
+// Overwrites the u32 at `at`, if a truncation has not cut it off.
+void PutU32(std::string* bytes, size_t at, uint32_t v) {
+  if (at + 4 > bytes->size()) return;
+  std::string le;
+  ByteWriter(&le).U32(v);
+  bytes->replace(at, 4, le);
+}
+
+// Rewrites the frame's payload size and checksum so a mutant reaches the
+// column decoder instead of failing the checksum gate.
+void RepairFrame(std::string* bytes) {
+  const std::string payload = bytes->substr(store::Codec::kHeaderBytes);
+  std::string header;
+  AppendFrameHeader(&header, store::Codec::kMagic, store::Codec::kVersion,
+                    payload);
+  bytes->replace(0, kFrameHeaderBytes, header);
+}
+
+TEST_P(FuzzTest, TableCodecSurvivesChecksumRepairedMutants) {
+  // Structure-aware mutants of valid encodings, checksum repaired: header
+  // counts (0 and UINT32_MAX included), length prefixes, type and tag
+  // bytes, string ids, and raw payload bytes. Decode must fail cleanly or
+  // yield a table no larger than its input can back (zero-width rows
+  // included), which re-encodes.
+  std::vector<std::string> seeds = {
+      store::Codec::Encode(testing::MakeNationsTable()),
+      store::Codec::Encode(testing::MakeFinanceTable()),
+      store::Codec::Encode(
+          Table::FromCsv("flag,grade,note,x\ntrue,5,-,1.5\nno,ok,n/a,-\n"
+                         "yes,-,-,\"$2,000\"\n")
+              .ValueOrDie()),
+      store::Codec::Encode(testing::RandomTable(&rng_)),
+  };
+  const uint32_t kCounts[] = {0, 1, 2, 7, 8, 9, 0x7fffffffu, UINT32_MAX};
+  const size_t kHeader = store::Codec::kHeaderBytes;
+  size_t decoded_ok = 0, past_checksum = 0;
+  for (int i = 0; i < 400; ++i) {
+    std::string bytes = seeds[rng_.Index(seeds.size())];
+    const CodecFields fields = WalkCodecLayout(bytes);
+    auto any_u32 = [&] {
+      return rng_.Bernoulli(0.5) ? kCounts[rng_.Index(std::size(kCounts))]
+                                 : static_cast<uint32_t>(rng_.Next());
+    };
+    const int mutations = 1 + static_cast<int>(rng_.Index(3));
+    for (int m = 0; m < mutations; ++m) {
+      switch (rng_.Index(6)) {
+        case 0:  // column count or row count
+          PutU32(&bytes, kFrameHeaderBytes + 4 * rng_.Index(2), any_u32());
+          break;
+        case 1:
+          PutU32(&bytes, rng_.Choice(fields.u32s), any_u32());
+          break;
+        case 2: {
+          const size_t at = rng_.Choice(fields.bytes);
+          const size_t v = rng_.Bernoulli(0.5) ? rng_.Index(7)
+                                               : rng_.Index(256);
+          if (at < bytes.size()) bytes[at] = static_cast<char>(v);
+          break;
+        }
+        case 3:
+          if (!fields.ids.empty()) {
+            PutU32(&bytes, rng_.Choice(fields.ids),
+                   static_cast<uint32_t>(rng_.Index(40)));
+          }
+          break;
+        case 4:
+          if (bytes.size() > kHeader) {
+            bytes[kHeader + rng_.Index(bytes.size() - kHeader)] =
+                static_cast<char>(rng_.Index(256));
+          }
+          break;
+        default:  // truncate or extend the payload
+          if (bytes.size() > kHeader && rng_.Bernoulli(0.5)) {
+            bytes.resize(kHeader + rng_.Index(bytes.size() - kHeader));
+          } else {
+            bytes.append(rng_.Index(16) + 1,
+                         static_cast<char>(rng_.Index(256)));
+          }
+          break;
+      }
+    }
+    RepairFrame(&bytes);
+    Result<Table> decoded = store::Codec::Decode(bytes);
+    if (decoded.ok()) {
+      ++decoded_ok;
+      EXPECT_LE(decoded->num_rows(), 8 * bytes.size());
+      EXPECT_LE(decoded->num_rows() * decoded->num_columns(),
+                8 * bytes.size());
+      (void)store::Codec::Encode(*decoded);
+    } else if (decoded.status().ToString().find("checksum") ==
+               std::string::npos) {
+      ++past_checksum;
+    }
+  }
+  EXPECT_GT(decoded_ok, 0u);
+  EXPECT_GT(past_checksum, 0u);
 }
 
 // ---- WAL recovery (store::Wal::Scan / TruncateTo) ----

@@ -16,6 +16,8 @@
 #include "serve/result_cache.h"
 #include "serve/scheduler.h"
 #include "serve/server.h"
+#include "store/codec.h"
+#include "tests/test_util.h"
 
 namespace uctr::serve {
 namespace {
@@ -531,6 +533,26 @@ TEST(ServerTest, InlineTableSpelledLikeARefDoesNotHitTheRefsCacheEntry) {
 
   Server fresh(&SharedEngine(), ServerConfig{});
   EXPECT_EQ(spelled_like_ref, fresh.HandleLine(inline_request(ref)));
+}
+
+// Regression: a 45-byte table_hex whose header claims millions of rows of
+// zero columns decoded into that many empty rows, allocating hundreds of
+// megabytes per request. It is rejected before any row exists.
+TEST(ServerTest, PutTableHexWithRowsButNoColumnsIsRejected) {
+  MetricsRegistry metrics;
+  ServerConfig config;
+  config.metrics = &metrics;
+  config.scheduler.num_workers = 1;
+  Server server(&SharedEngine(), config);
+  const std::string hex =
+      store::Codec::ToHex(testing::ZeroColumnFrame(20'000'000));
+  const std::string put = server.HandleLine(
+      "{\"id\":1,\"op\":\"put_table\",\"table_hex\":\"" + hex + "\"}");
+  EXPECT_NE(put.find("\"status\":\"error\""), std::string::npos) << put;
+  EXPECT_EQ(server.registry()->table_count(), 0u);
+  EXPECT_NE(server.HandleLine("{\"id\":2,\"op\":\"ping\"}")
+                .find("\"status\":\"ok\""),
+            std::string::npos);
 }
 
 TEST(ServerTest, QueueFullRequestsAreRejected) {

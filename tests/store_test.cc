@@ -1,7 +1,7 @@
-// Tests of the typed columnar table store: per-column encoding decisions,
-// exact round-trip fidelity, the versioned binary codec's corruption
-// handling, content fingerprint stability, the content-addressed registry
-// (dedup, LRU byte-budget eviction, borrow lifetimes, counters), and the
+// Tests of the table store: the versioned binary codec's golden bytes per
+// column encoding, exact round-trip fidelity, corruption handling and
+// content fingerprint stability, the content-addressed registry (dedup,
+// LRU byte-budget eviction, borrow lifetimes, counters), and the
 // put_table / table_ref wire protocol end to end through serve::Server.
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "serve/engine.h"
 #include "serve/server.h"
 #include "store/codec.h"
-#include "store/columnar.h"
 #include "store/registry.h"
 #include "store/wal.h"
 #include "tests/test_util.h"
@@ -61,60 +60,16 @@ void ExpectTablesIdentical(const Table& a, const Table& b) {
   EXPECT_EQ(a.ToCsv(), b.ToCsv());
 }
 
-// ---------------------------------------------------------- ColumnarTable
-
-TEST(ColumnarTest, PicksInt64ForIntegralNumericColumns) {
-  ColumnarTable ct = ColumnarTable::FromTable(MakeNationsTable());
-  ASSERT_EQ(ct.num_columns(), 5u);
-  EXPECT_EQ(ct.column(0).encoding, ColumnEncoding::kString);  // nation
-  for (size_t c = 1; c < 5; ++c) {
-    EXPECT_EQ(ct.column(c).encoding, ColumnEncoding::kInt64)
-        << ct.column(c).name;
-  }
-  // CSV-parsed numbers keep their surface text ("10") so ToCsv is exact.
-  ASSERT_FALSE(ct.column(1).text_ids.empty());
-  EXPECT_EQ(ct.pool().at(ct.column(1).text_ids[0]), "10");
-  EXPECT_EQ(ct.column(1).ints[0], int64_t{10});
+// The table as Decode reconstructs it from Encode's bytes.
+Result<Table> RoundTrip(const Table& table) {
+  return Codec::Decode(Codec::Encode(table));
 }
 
-TEST(ColumnarTest, KeepsNumericSurfaceText) {
-  // "$1,200.5" parses to 1200.5 but must render back as "$1,200.5".
-  ColumnarTable ct = ColumnarTable::FromTable(MakeFinanceTable());
-  const Column& y2019 = ct.column(1);
-  EXPECT_EQ(y2019.encoding, ColumnEncoding::kDouble);  // 400.5 not integral
-  ASSERT_FALSE(y2019.text_ids.empty());
-  EXPECT_EQ(ct.pool().at(y2019.text_ids[0]), "$1,200.5");
-  // 2018 holds 1000.0 / 700 / 300 / 2000 — integral, but with text.
-  const Column& y2018 = ct.column(2);
-  EXPECT_EQ(y2018.encoding, ColumnEncoding::kInt64);
-  ASSERT_FALSE(y2018.text_ids.empty());
-  EXPECT_EQ(ct.pool().at(y2018.text_ids[0]), "$1,000.0");
-}
-
-TEST(ColumnarTest, PicksBoolAndMixedAndHandlesNulls) {
-  Table t = Table::FromCsv(
-                "flag,grade,note\n"
-                "true,5,-\n"
-                "no,ok,n/a\n"
-                "yes,-,-\n",
-                "odd")
-                .ValueOrDie();
-  ColumnarTable ct = ColumnarTable::FromTable(t);
-  EXPECT_EQ(ct.column(0).encoding, ColumnEncoding::kBool);
-  EXPECT_EQ(ct.column(1).encoding, ColumnEncoding::kMixed);  // 5 vs "ok"
-  // All-null column: nothing contradicts string.
-  EXPECT_EQ(ct.column(2).encoding, ColumnEncoding::kString);
-  EXPECT_TRUE(ct.column(1).is_null(2));
-  EXPECT_TRUE(ct.column(2).is_null(0));
-  EXPECT_EQ(ct.CellValue(0, 0).boolean(), true);
-  EXPECT_EQ(ct.CellValue(1, 0).boolean(), false);
-  EXPECT_TRUE(ct.CellValue(0, 2).is_null());
-}
+// ------------------------------------------------------- Column encodings
 
 TEST(ColumnarTest, RoundTripIsCellExact) {
   for (const Table& t : {MakeNationsTable(), MakeFinanceTable()}) {
-    ColumnarTable ct = ColumnarTable::FromTable(t);
-    Result<Table> back = ct.ToTable();
+    Result<Table> back = RoundTrip(t);
     ASSERT_TRUE(back.ok()) << back.status().ToString();
     ExpectTablesIdentical(t, *back);
   }
@@ -124,7 +79,7 @@ TEST(ColumnarTest, RoundTripsRandomTables) {
   Rng rng(0xC01u);
   for (int i = 0; i < 20; ++i) {
     Table t = RandomTable(&rng);
-    Result<Table> back = ColumnarTable::FromTable(t).ToTable();
+    Result<Table> back = RoundTrip(t);
     ASSERT_TRUE(back.ok()) << back.status().ToString();
     ExpectTablesIdentical(t, *back);
   }
@@ -132,32 +87,19 @@ TEST(ColumnarTest, RoundTripsRandomTables) {
 
 TEST(ColumnarTest, RoundTripsEmptyAndHeaderOnlyTables) {
   Table t = Table::FromCsv("a,b\n", "empty").ValueOrDie();
-  Result<Table> back = ColumnarTable::FromTable(t).ToTable();
+  Result<Table> back = RoundTrip(t);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->num_rows(), 0u);
   EXPECT_EQ(back->num_columns(), 2u);
   ExpectTablesIdentical(t, *back);
 }
 
-TEST(ColumnarTest, ApproxBytesGrowsWithData) {
-  Rng rng(7u);
-  size_t small = ColumnarTable::FromTable(RandomTable(&rng, 4, 2))
-                     .ApproxBytes();
-  size_t large = ColumnarTable::FromTable(RandomTable(&rng, 400, 4))
-                     .ApproxBytes();
-  EXPECT_GT(small, 0u);
-  EXPECT_GT(large, small * 10);
-}
-
 // ------------------------------------------------------------------ Codec
 
 TEST(CodecTest, EncodeDecodeRoundTrips) {
   for (const Table& t : {MakeNationsTable(), MakeFinanceTable()}) {
-    ColumnarTable ct = ColumnarTable::FromTable(t);
-    std::string bytes = Codec::Encode(ct);
-    Result<ColumnarTable> decoded = Codec::Decode(bytes);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    Result<Table> back = decoded->ToTable();
+    std::string bytes = Codec::Encode(t);
+    Result<Table> back = Codec::Decode(bytes);
     ASSERT_TRUE(back.ok()) << back.status().ToString();
     ExpectTablesIdentical(t, *back);
   }
@@ -166,27 +108,25 @@ TEST(CodecTest, EncodeDecodeRoundTrips) {
 TEST(CodecTest, EncodingIsCanonical) {
   // Re-encoding a round-tripped table reproduces the exact bytes — the
   // property that makes content fingerprints stable across put/get/put.
-  ColumnarTable ct = ColumnarTable::FromTable(MakeFinanceTable());
-  std::string bytes = Codec::Encode(ct);
-  Table back = Codec::Decode(bytes).ValueOrDie().ToTable().ValueOrDie();
-  std::string again = Codec::Encode(ColumnarTable::FromTable(back));
+  std::string bytes = Codec::Encode(MakeFinanceTable());
+  Table back = Codec::Decode(bytes).ValueOrDie();
+  std::string again = Codec::Encode(back);
   EXPECT_EQ(bytes, again);
   EXPECT_EQ(Codec::Fingerprint(bytes), Codec::Fingerprint(again));
 }
 
 TEST(CodecTest, FingerprintIsContentAddressed) {
-  std::string a = Codec::Encode(ColumnarTable::FromTable(MakeNationsTable()));
-  std::string b = Codec::Encode(ColumnarTable::FromTable(MakeFinanceTable()));
+  std::string a = Codec::Encode(MakeNationsTable());
+  std::string b = Codec::Encode(MakeFinanceTable());
   EXPECT_EQ(Codec::Fingerprint(a).size(), 16u);
   EXPECT_NE(Codec::Fingerprint(a), Codec::Fingerprint(b));
   EXPECT_EQ(Codec::Fingerprint(a), Codec::Fingerprint(a));
 }
 
 TEST(CodecTest, EveryTruncationFailsCleanly) {
-  std::string bytes = Codec::Encode(ColumnarTable::FromTable(
-      MakeFinanceTable()));
+  std::string bytes = Codec::Encode(MakeFinanceTable());
   for (size_t len = 0; len < bytes.size(); ++len) {
-    Result<ColumnarTable> decoded =
+    Result<Table> decoded =
         Codec::Decode(std::string_view(bytes).substr(0, len));
     EXPECT_FALSE(decoded.ok()) << "truncation to " << len << " bytes";
   }
@@ -196,28 +136,25 @@ TEST(CodecTest, EverySingleBitFlipFailsCleanly) {
   // The header fields are individually validated and the payload is
   // checksummed with FNV-1a (each step is injective), so any single-bit
   // corruption must yield an error Status, never a bogus table.
-  std::string bytes = Codec::Encode(ColumnarTable::FromTable(
-      MakeNationsTable()));
+  std::string bytes = Codec::Encode(MakeNationsTable());
   for (size_t i = 0; i < bytes.size(); ++i) {
     std::string corrupt = bytes;
     corrupt[i] = static_cast<char>(corrupt[i] ^ (1 << (i % 8)));
-    Result<ColumnarTable> decoded = Codec::Decode(corrupt);
+    Result<Table> decoded = Codec::Decode(corrupt);
     EXPECT_FALSE(decoded.ok()) << "bit flip at byte " << i;
   }
 }
 
 TEST(CodecTest, TrailingGarbageIsRejected) {
-  std::string bytes = Codec::Encode(ColumnarTable::FromTable(
-      MakeNationsTable()));
+  std::string bytes = Codec::Encode(MakeNationsTable());
   EXPECT_FALSE(Codec::Decode(bytes + "x").ok());
   EXPECT_FALSE(Codec::Decode(bytes + std::string(64, '\0')).ok());
 }
 
 TEST(CodecTest, VersionSkewIsReportedAsSuch) {
-  std::string bytes = Codec::Encode(ColumnarTable::FromTable(
-      MakeNationsTable()));
+  std::string bytes = Codec::Encode(MakeNationsTable());
   bytes[4] = 2;  // u32 version little-endian low byte
-  Result<ColumnarTable> decoded = Codec::Decode(bytes);
+  Result<Table> decoded = Codec::Decode(bytes);
   ASSERT_FALSE(decoded.ok());
   EXPECT_NE(decoded.status().ToString().find("version skew"),
             std::string::npos)
@@ -233,12 +170,27 @@ TEST(CodecTest, GarbageInputsNeverCrash) {
     for (size_t j = 0; j < len; ++j) {
       garbage.push_back(static_cast<char>(rng.UniformInt(0, 255)));
     }
-    Result<ColumnarTable> decoded = Codec::Decode(garbage);
+    Result<Table> decoded = Codec::Decode(garbage);
     if (decoded.ok()) {
       // Astronomically unlikely, but if it parses it must be usable.
-      EXPECT_TRUE(decoded->ToTable().ok());
+      EXPECT_FALSE(Codec::Encode(*decoded).empty());
     }
   }
+}
+
+TEST(CodecTest, RejectsRowsWithoutColumns) {
+  // A well-formed frame whose header claims 20M rows of zero columns:
+  // no payload byte backs a row, so nothing but this check bounds them.
+  const std::string bytes = testing::ZeroColumnFrame(20'000'000);
+  EXPECT_EQ(bytes.size(), 45u);
+  Result<Table> decoded = Codec::Decode(bytes);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.status().ToString().find("rows without columns"),
+            std::string::npos)
+      << decoded.status().ToString();
+  EXPECT_FALSE(TableRegistry().PutEncodedBytes(bytes).ok());
+  // The same frame with zero rows is a valid (empty) table.
+  EXPECT_TRUE(Codec::Decode(testing::ZeroColumnFrame(0)).ok());
 }
 
 // --------------------------------------------------------- TableRegistry
@@ -433,8 +385,7 @@ TEST(RegistryTest, MissesAreCountedAndReturnNull) {
 TEST(RegistryTest, ByteBudgetEvictsColdEntries) {
   Rng rng(0x11u);
   Table first = RandomTable(&rng, 40, 3);
-  size_t one_table =
-      ColumnarTable::FromTable(first).ApproxBytes();
+  size_t one_table = TableRegistry::EncodeTable(first).approx_bytes;
   RegistryConfig config;
   config.num_shards = 1;
   config.capacity_bytes = one_table * 3;
@@ -469,7 +420,7 @@ TEST(RegistryTest, BorrowedTableSurvivesEviction) {
   RegistryConfig config;
   config.num_shards = 1;
   config.capacity_bytes =
-      ColumnarTable::FromTable(MakeNationsTable()).ApproxBytes() + 1;
+      TableRegistry::EncodeTable(MakeNationsTable()).approx_bytes + 1;
   TableRegistry registry(config);
   std::string fp = registry.Put(MakeNationsTable())->fingerprint;
   std::shared_ptr<const Table> borrowed = registry.Get(fp);
@@ -486,8 +437,7 @@ TEST(RegistryTest, ConcurrentPutGetIsCoherent) {
   obs::MetricsRegistry metrics;
   TableRegistry registry(RegistryConfig{}, &metrics);
   std::string nations_fp =
-      Codec::Fingerprint(Codec::Encode(ColumnarTable::FromTable(
-          MakeNationsTable())));
+      Codec::Fingerprint(Codec::Encode(MakeNationsTable()));
   std::vector<std::thread> threads;
   std::atomic<int> null_hits{0};
   for (int t = 0; t < 4; ++t) {

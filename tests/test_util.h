@@ -4,7 +4,9 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/rng.h"
+#include "store/codec.h"
 #include "table/table.h"
 
 namespace uctr::testing {
@@ -52,6 +54,24 @@ inline Table RandomTable(Rng* rng, size_t rows = 0, size_t numeric_cols = 0) {
     data.push_back(std::move(row));
   }
   return Table::FromStrings(header, data, "random").ValueOrDie();
+}
+
+/// A checksummed table codec frame whose header claims `rows` rows of zero
+/// columns: 45 bytes, hand-built because no table encodes to it. Hostile
+/// input for every path that decodes put_table's table_hex.
+inline std::string ZeroColumnFrame(uint32_t rows) {
+  std::string payload;
+  ByteWriter w(&payload);
+  w.Str("x");  // table name
+  w.U32(1);    // string pool: just the empty string
+  w.Str("");
+  std::string frame;
+  AppendFrameHeader(&frame, store::Codec::kMagic, store::Codec::kVersion,
+                    payload);
+  ByteWriter counts(&frame);
+  counts.U32(0);
+  counts.U32(rows);
+  return frame + payload;
 }
 
 }  // namespace uctr::testing
