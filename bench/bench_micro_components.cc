@@ -23,6 +23,7 @@
 #include "program/sampler.h"
 #include "sql/executor.h"
 #include "sql/parser.h"
+#include "table/index.h"
 #include "table/table.h"
 
 namespace uctr {
@@ -272,6 +273,79 @@ void BM_FeatureExtract(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FeatureExtract);
+
+// ---------------------------------------------------------------------------
+// Per-request linking cost against table size (table/index.h linking()).
+// The table is shared across iterations, as a registered table is across
+// requests, and linked once before timing starts; BM_LinkBuild times that
+// one-off build. Binding and Extract's table alignment should stay roughly
+// flat from 100 to 10k rows: they probe the linking index instead of
+// scanning every row. RankAll also executes every candidate program over
+// all rows, which is not flat.
+
+Table LinkedBenchTable(size_t rows) {
+  Table t = BenchTable(rows);
+  t.WarmIndex();
+  (void)t.index().linking();
+  return t;
+}
+
+void BM_LinkBuild(benchmark::State& state) {
+  Table t = BenchTable(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    state.PauseTiming();
+    Table fresh = t;  // copies never share the cached index
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(&fresh.index().linking());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_LinkBuild)->Arg(100)->Arg(1000)->Arg(10000);
+
+constexpr const char* kLinkClaim =
+    "The gold of the row whose nation is nation42 is 3.";
+
+// Slot binding alone: every claim template bound to the claim, with no
+// program executed. Each BindTemplate call tokenizes the claim afresh,
+// which RankAll does once for all templates.
+void BM_BindAllRows(benchmark::State& state) {
+  Table t = LinkedBenchTable(static_cast<size_t>(state.range(0)));
+  const std::vector<ProgramTemplate> templates = BuiltinLogicTemplates();
+  for (auto _ : state) {
+    for (const ProgramTemplate& tmpl : templates) {
+      benchmark::DoNotOptimize(model::NlInterpreter::BindTemplate(
+          tmpl, kLinkClaim, t, TaskType::kFactVerification));
+    }
+  }
+}
+BENCHMARK(BM_BindAllRows)->Arg(100)->Arg(1000)->Arg(10000);
+
+// Binding plus executing and re-realizing every candidate program; the
+// execution part is O(rows) by nature.
+void BM_RankAllRows(benchmark::State& state) {
+  Table t = LinkedBenchTable(static_cast<size_t>(state.range(0)));
+  model::NlInterpreter interpreter(BuiltinLogicTemplates());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        interpreter.RankAll(kLinkClaim, t, TaskType::kFactVerification));
+  }
+}
+BENCHMARK(BM_RankAllRows)->Arg(100)->Arg(1000)->Arg(10000);
+
+// A question sample, so Extract runs the lexical and table-alignment
+// features without the interpreter (BM_RankAllRows covers that).
+void BM_ExtractRows(benchmark::State& state) {
+  Table t = LinkedBenchTable(static_cast<size_t>(state.range(0)));
+  model::FeatureExtractor extractor(model::FeatureConfig{}, nullptr);
+  Sample s;
+  s.task = TaskType::kQuestionAnswering;
+  s.shared_table = &t;
+  s.sentence = "What was the gold of the row whose nation is nation42?";
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(extractor.Extract(s));
+  }
+}
+BENCHMARK(BM_ExtractRows)->Arg(100)->Arg(1000)->Arg(10000);
 
 void BM_GeneratePipeline(benchmark::State& state) {
   Rng rng(3);

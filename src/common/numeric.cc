@@ -1,6 +1,7 @@
 #include "common/numeric.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -8,6 +9,38 @@
 #include "common/string_util.h"
 
 namespace uctr {
+
+namespace {
+
+/// True for `[+-] (digits [. digits*] | . digits) [(e|E) [+-] digits]`:
+/// the decimal subset of what strtod reads. strtod alone would also take
+/// "nan", "inf", "infinity" and hex forms ("0x10"), which turned cells
+/// such as a given name "Nan" into numbers.
+bool IsDecimalLiteral(std::string_view s) {
+  size_t i = 0;
+  auto digits = [&s, &i] {
+    size_t start = i;
+    while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) {
+      ++i;
+    }
+    return i - start;
+  };
+  if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
+  size_t mantissa = digits();
+  if (i < s.size() && s[i] == '.') {
+    ++i;
+    mantissa += digits();
+  }
+  if (mantissa == 0) return false;
+  if (i < s.size() && (s[i] == 'e' || s[i] == 'E')) {
+    ++i;
+    if (i < s.size() && (s[i] == '+' || s[i] == '-')) ++i;
+    if (digits() == 0) return false;
+  }
+  return i == s.size();
+}
+
+}  // namespace
 
 std::optional<double> ParseNumber(std::string_view text) {
   std::string s = Trim(text);
@@ -58,7 +91,7 @@ std::optional<double> ParseNumber(std::string_view text) {
     }
     cleaned.push_back(s[i]);
   }
-  if (cleaned.empty()) return std::nullopt;
+  if (!IsDecimalLiteral(cleaned)) return std::nullopt;
 
   char* end = nullptr;
   errno = 0;

@@ -12,8 +12,10 @@ namespace uctr {
 /// Accepts plain numbers ("42", "-3.5", "1e6"), thousands separators
 /// ("1,234,567"), currency prefixes ("$1,234.50", "US$3"), percentages
 /// ("12.5%", parsed as 12.5), and accounting negatives ("(1,234)" == -1234).
-/// Returns std::nullopt when the text is not numeric. This is the single
-/// numeric gateway used by type inference, executors, and extraction, so
+/// Only decimal forms count: "nan", "inf", "infinity" and hex ("0x10") are
+/// text, and so is a value out of a double's range, so the result is always
+/// finite. Returns std::nullopt when the text is not numeric. This is the
+/// single numeric gateway used by type inference, executors, and extraction, so
 /// financial tables (TAT-QA) behave consistently everywhere.
 std::optional<double> ParseNumber(std::string_view text);
 

@@ -5,6 +5,7 @@
 
 #include "common/numeric.h"
 #include "common/string_util.h"
+#include "table/index.h"
 
 namespace uctr::model {
 
@@ -41,25 +42,9 @@ void FeatureExtractor::AddAlignment(const Sample& sample,
   std::vector<std::string> tokens = WordTokens(sample.sentence);
   if (tokens.empty()) return;
 
-  // Token inventory of the evidence.
-  const Table& table = sample.evidence_table();
-  std::set<std::string> table_tokens;
-  std::set<double> table_numbers;
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      const Value& v = table.cell(r, c);
-      if (v.is_null()) continue;
-      for (const std::string& t : WordTokens(v.ToDisplayString())) {
-        table_tokens.insert(t);
-      }
-      if (v.is_number()) table_numbers.insert(v.number());
-    }
-  }
-  for (size_t c = 0; c < table.num_columns(); ++c) {
-    for (const std::string& t : WordTokens(table.schema().column(c).name)) {
-      table_tokens.insert(t);
-    }
-  }
+  // The table side is probed through its linking index (built once per
+  // table); the paragraph is per sample and small.
+  const TableIndex& table = sample.evidence_table().index();
   std::set<std::string> text_tokens;
   std::set<double> text_numbers;
   for (const std::string& s : sample.paragraph) {
@@ -72,13 +57,10 @@ void FeatureExtractor::AddAlignment(const Sample& sample,
   size_t table_hits = 0, text_hits = 0;
   size_t num_match = 0, num_miss = 0;
   for (const std::string& t : tokens) {
-    if (table_tokens.count(t)) ++table_hits;
+    if (table.HasToken(t)) ++table_hits;
     if (text_tokens.count(t)) ++text_hits;
     if (auto n = ParseNumber(t)) {
-      bool matched = false;
-      for (double x : table_numbers) {
-        if (NearlyEqual(*n, x, 1e-6, 1e-6)) matched = true;
-      }
+      bool matched = table.HasNearlyEqualNumber(*n);
       for (double x : text_numbers) {
         if (NearlyEqual(*n, x, 1e-6, 1e-6)) matched = true;
       }

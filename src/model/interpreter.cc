@@ -1,6 +1,7 @@
 #include "model/interpreter.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include "common/string_util.h"
@@ -83,12 +84,70 @@ std::string NlInterpreter::ClaimedValue(const std::string& sentence) {
   return Trim(tail);
 }
 
+/// The sentence side of linking, computed once per (sentence, table) and
+/// shared by every template RankAll binds.
+struct NlInterpreter::SentenceLinks {
+  SentenceLinks(const std::string& sentence, const Table& table)
+      : sentence(sentence),
+        table(table),
+        tokens(WordTokens(sentence)),
+        token_set(tokens.begin(), tokens.end()),
+        scored(table.num_columns()) {
+    for (const std::string& t : token_set) {
+      hashes.push_back(TableIndex::TokenHash(t));
+    }
+  }
+
+  /// Rows of column `c` whose display string covers a positive share of
+  /// its tokens in the sentence, ascending, with that share. Rows missing
+  /// here cover nothing.
+  const std::vector<std::pair<size_t, double>>& Scored(size_t c) {
+    if (!scored[c].has_value()) {
+      const TableIndex& index = table.index();
+      const TableIndex::Column& cache = index.column(c);
+      std::vector<std::pair<size_t, double>>& rows = scored[c].emplace();
+      for (uint32_t r : index.CandidateRows(c, hashes)) {
+        double score = CoverageScore(cache.display[r], token_set);
+        if (score > 0.0) rows.emplace_back(r, score);
+      }
+    }
+    return *scored[c];
+  }
+
+  /// The display string of column `c` that covers the most of itself,
+  /// skipping those in `used`; the first row wins a tie.
+  std::pair<double, std::string> Best(size_t c,
+                                      const std::set<std::string>& used) {
+    const TableIndex::Column& cache = table.index().column(c);
+    double best = 0.0;
+    std::string best_value;
+    for (const auto& [r, score] : Scored(c)) {
+      if (score > best && !used.count(cache.display[r])) {
+        best = score;
+        best_value = cache.display[r];
+      }
+    }
+    return {best, best_value};
+  }
+
+  const std::string& sentence;
+  const Table& table;
+  std::vector<std::string> tokens;
+  std::set<std::string> token_set;
+  std::vector<uint32_t> hashes;
+  std::vector<std::optional<std::vector<std::pair<size_t, double>>>> scored;
+};
+
 Result<std::map<std::string, std::string>> NlInterpreter::BindTemplate(
     const ProgramTemplate& tmpl, const std::string& sentence,
-    const Table& table, TaskType task) const {
-  std::vector<std::string> tokens = WordTokens(sentence);
-  std::set<std::string> token_set(tokens.begin(), tokens.end());
+    const Table& table, TaskType task) {
+  SentenceLinks links(sentence, table);
+  return Bind(tmpl, &links, task);
+}
 
+Result<std::map<std::string, std::string>> NlInterpreter::Bind(
+    const ProgramTemplate& tmpl, SentenceLinks* links, TaskType task) {
+  const Table& table = links->table;
   std::map<std::string, std::string> bindings;
   std::map<std::string, size_t> column_of;
   std::set<size_t> used_columns;
@@ -106,7 +165,7 @@ Result<std::map<std::string, std::string>> NlInterpreter::BindTemplate(
             continue;
           }
           double score =
-              CoverageScore(table.schema().column(c).name, token_set);
+              CoverageScore(table.schema().column(c).name, links->token_set);
           if (score > best) {
             best = score;
             best_col = c;
@@ -125,21 +184,8 @@ Result<std::map<std::string, std::string>> NlInterpreter::BindTemplate(
         if (it == column_of.end()) {
           return Status::Internal("value slot before its column slot");
         }
-        // Cached display strings: RankAll scores every template against
-        // the same table, so the per-cell rendering is paid once.
-        const TableIndex::Column& cache = table.index().column(it->second);
-        double best = 0.0;
-        std::string best_value;
-        for (size_t r = 0; r < table.num_rows(); ++r) {
-          if (cache.is_null[r]) continue;
-          const std::string& display = cache.display[r];
-          if (used_values[p.column_id].count(display)) continue;
-          double score = CoverageScore(display, token_set);
-          if (score > best) {
-            best = score;
-            best_value = display;
-          }
-        }
+        auto [best, best_value] =
+            links->Best(it->second, used_values[p.column_id]);
         if (best < 0.5) {
           return Status::NotFound("no cell value matches slot '" + p.id +
                                   "'");
@@ -149,19 +195,11 @@ Result<std::map<std::string, std::string>> NlInterpreter::BindTemplate(
         break;
       }
       case Placeholder::Kind::kRow: {
-        const TableIndex::Column& names = table.index().column(0);
-        double best = 0.0;
-        std::string best_name;
-        for (size_t r = 0; r < table.num_rows(); ++r) {
-          if (names.is_null[r]) continue;
-          const std::string& display = names.display[r];
-          if (used_values["__rows__"].count(display)) continue;
-          double score = CoverageScore(display, token_set);
-          if (score > best) {
-            best = score;
-            best_name = display;
-          }
+        if (table.num_columns() == 0) {
+          return Status::NotFound("no row name column for slot '" + p.id +
+                                  "'");
         }
+        auto [best, best_name] = links->Best(0, used_values["__rows__"]);
         if (best < 0.5) {
           return Status::NotFound("no row name matches slot '" + p.id + "'");
         }
@@ -170,7 +208,7 @@ Result<std::map<std::string, std::string>> NlInterpreter::BindTemplate(
         break;
       }
       case Placeholder::Kind::kOrdinal: {
-        int n = FindOrdinal(tokens);
+        int n = FindOrdinal(links->tokens);
         if (n == 0) {
           return Status::NotFound("no ordinal mention in the sentence");
         }
@@ -182,7 +220,7 @@ Result<std::map<std::string, std::string>> NlInterpreter::BindTemplate(
           return Status::InvalidArgument(
               "derive slot only binds for claims");
         }
-        std::string claimed = ClaimedValue(sentence);
+        std::string claimed = ClaimedValue(links->sentence);
         if (claimed.empty()) {
           return Status::NotFound("no claimed value in the sentence");
         }
@@ -198,13 +236,14 @@ std::vector<Interpretation> NlInterpreter::RankAll(
     const std::string& sentence, const Table& table, TaskType task,
     const ExecOptions& exec) const {
   std::vector<Interpretation> out;
+  SentenceLinks links(sentence, table);
   for (size_t i = 0; i < templates_.size(); ++i) {
     const ProgramTemplate& tmpl = templates_[i];
     // Claim templates only read claims, question templates only questions.
     bool is_claim_template = tmpl.type == ProgramType::kLogicalForm;
     if (is_claim_template != (task == TaskType::kFactVerification)) continue;
 
-    auto bindings = BindTemplate(tmpl, sentence, table, task);
+    auto bindings = Bind(tmpl, &links, task);
     if (!bindings.ok()) continue;
     auto filled = tmpl.Fill(bindings.ValueOrDie());
     if (!filled.ok()) continue;

@@ -55,12 +55,25 @@ class NlInterpreter {
   /// after the final copula, e.g. "... is 8." -> "8"). Empty if absent.
   static std::string ClaimedValue(const std::string& sentence);
 
- private:
-  /// Binds one template against (sentence, table); nullopt-like error when
-  /// a slot cannot be filled.
-  Result<std::map<std::string, std::string>> BindTemplate(
+  /// \brief Binds one template's slots against (sentence, table): the
+  /// bindings RankAll fills the template with, or an error when a slot
+  /// cannot be filled.
+  ///
+  /// Value and row slots take the cell that covers the largest share of
+  /// its tokens in the sentence (at least half), the first such row on a
+  /// tie, each cell value at most once per column. Only rows that share a
+  /// token with the sentence are scored, found through the table's linking
+  /// postings (TableIndex::CandidateRows); every other row covers nothing
+  /// and could never win, so the result is that of a scan of every row.
+  static Result<std::map<std::string, std::string>> BindTemplate(
       const ProgramTemplate& tmpl, const std::string& sentence,
-      const Table& table, TaskType task) const;
+      const Table& table, TaskType task);
+
+ private:
+  struct SentenceLinks;
+
+  static Result<std::map<std::string, std::string>> Bind(
+      const ProgramTemplate& tmpl, SentenceLinks* links, TaskType task);
 
   std::vector<ProgramTemplate> templates_;
   nlgen::NlGenerator canonical_generator_;

@@ -646,6 +646,17 @@ std::string Server::StatsJson() const {
          std::to_string(static_cast<int64_t>(execute->QuantileMicros(0.5)));
   out += ",\"execute_p99_us\":" +
          std::to_string(static_cast<int64_t>(execute->QuantileMicros(0.99)));
+  // Linking-index builds (table/index.h) are recorded process-wide: the
+  // table layer has no registry of its own. Each is paid by the first
+  // request that links a sentence to a table.
+  obs::MetricsRegistry& process = obs::DefaultRegistry();
+  Histogram* link_build = process.histogram("table_link_build_us");
+  out += ",\"table_link_builds_total\":" +
+         std::to_string(process.counter("table_link_builds_total")->value());
+  out += ",\"table_link_build_mean_us\":" +
+         std::to_string(static_cast<int64_t>(link_build->mean_micros()));
+  out += ",\"table_link_build_p99_us\":" +
+         std::to_string(static_cast<int64_t>(link_build->QuantileMicros(0.99)));
   out += "}";
   return out;
 }

@@ -1,9 +1,13 @@
 #include "table/index.h"
 
 #include <algorithm>
+#include <chrono>
+#include <cmath>
 
+#include "common/hash.h"
 #include "common/numeric.h"
 #include "common/string_util.h"
+#include "obs/metrics.h"
 #include "table/table.h"
 
 namespace uctr {
@@ -31,6 +35,128 @@ const TableIndex::Column& TableIndex::column(size_t c) const {
 
 void TableIndex::Warm() const {
   for (size_t c = 0; c < num_columns_; ++c) column(c);
+}
+
+const TableIndex::Linking& TableIndex::linking() const {
+  std::call_once(linking_once_, [this] { BuildLinking(); });
+  return *linking_;
+}
+
+uint32_t TableIndex::TokenHash(std::string_view token) {
+  uint64_t h = Fnv1a64(token, kFnv1aOffsetBasis);
+  return static_cast<uint32_t>(h ^ (h >> 32));
+}
+
+void TableIndex::BuildLinking() const {
+  static obs::Counter* builds =
+      obs::DefaultRegistry().counter("table_link_builds_total");
+  static obs::Histogram* build_us =
+      obs::DefaultRegistry().histogram("table_link_build_us");
+  auto start = std::chrono::steady_clock::now();
+
+  auto link = std::make_unique<Linking>();
+  // Rows are stored in 32 bits: a table of 2^32 rows would not fit in
+  // memory as Values long before.
+  const size_t n = table_->num_rows();
+  link->postings.resize(num_columns_);
+  for (size_t c = 0; c < num_columns_; ++c) {
+    std::vector<uint64_t>& postings = link->postings[c];
+    for (size_t r = 0; r < n; ++r) {
+      const Value& v = table_->cell(r, c);
+      if (v.is_null()) continue;
+      for (const std::string& t : WordTokens(v.ToDisplayString())) {
+        postings.push_back(uint64_t{TokenHash(t)} << 32 | r);
+      }
+      if (!v.is_number()) continue;
+      double x = v.number();
+      if (std::isnan(x)) continue;
+      if (std::isinf(x)) {
+        (x > 0 ? link->has_pos_infinity : link->has_neg_infinity) = true;
+      } else {
+        link->numbers.push_back(x);
+      }
+    }
+    std::sort(postings.begin(), postings.end());
+    postings.erase(std::unique(postings.begin(), postings.end()),
+                   postings.end());
+    postings.shrink_to_fit();
+    for (std::string& t : WordTokens(table_->schema().column(c).name)) {
+      link->header_tokens.push_back(std::move(t));
+    }
+  }
+  std::sort(link->numbers.begin(), link->numbers.end());
+  link->numbers.erase(std::unique(link->numbers.begin(), link->numbers.end()),
+                      link->numbers.end());
+  link->numbers.shrink_to_fit();
+  std::sort(link->header_tokens.begin(), link->header_tokens.end());
+  link->header_tokens.erase(
+      std::unique(link->header_tokens.begin(), link->header_tokens.end()),
+      link->header_tokens.end());
+  linking_ = std::move(link);
+
+  builds->Increment();
+  build_us->Observe(std::chrono::duration<double, std::micro>(
+                        std::chrono::steady_clock::now() - start)
+                        .count());
+}
+
+std::vector<uint32_t> TableIndex::CandidateRows(
+    size_t c, const std::vector<uint32_t>& hashes) const {
+  const std::vector<uint64_t>& postings = linking().postings[c];
+  std::vector<uint32_t> rows;
+  for (uint32_t h : hashes) {
+    auto it = std::lower_bound(postings.begin(), postings.end(),
+                               uint64_t{h} << 32);
+    for (; it != postings.end() && (*it >> 32) == h; ++it) {
+      rows.push_back(static_cast<uint32_t>(*it));
+    }
+  }
+  std::sort(rows.begin(), rows.end());
+  rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+  return rows;
+}
+
+bool TableIndex::HasToken(const std::string& token) const {
+  const Linking& link = linking();
+  if (std::binary_search(link.header_tokens.begin(), link.header_tokens.end(),
+                         token)) {
+    return true;
+  }
+  const uint64_t h = TokenHash(token);
+  for (size_t c = 0; c < num_columns_; ++c) {
+    const std::vector<uint64_t>& postings = link.postings[c];
+    for (auto it = std::lower_bound(postings.begin(), postings.end(), h << 32);
+         it != postings.end() && (*it >> 32) == h; ++it) {
+      const Value& v = table_->cell(static_cast<uint32_t>(*it), c);
+      for (const std::string& t : WordTokens(v.ToDisplayString())) {
+        if (t == token) return true;
+      }
+    }
+  }
+  return false;
+}
+
+bool TableIndex::HasNearlyEqualNumber(double x) const {
+  const Linking& link = linking();
+  if (std::isnan(x)) return false;
+  // NearlyEqual(finite, ±inf) holds (the difference is inf, and so is the
+  // relative tolerance), NearlyEqual(inf, inf) does not (inf - inf is
+  // NaN), and NearlyEqual(inf, -inf) does.
+  if (std::isinf(x)) {
+    return !link.numbers.empty() ||
+           (x > 0 ? link.has_neg_infinity : link.has_pos_infinity);
+  }
+  if (link.has_pos_infinity || link.has_neg_infinity) return true;
+  // NearlyEqual(x, y) implies |x - y| <= 1e-6 * max(1, |x|, |y|), and then
+  // |y| <= |x| / (1 - 1e-6), so every match lies within `reach` of x; the
+  // factor 2 leaves room for rounding. Each number in range is re-checked.
+  const double reach = 2e-6 * std::max(1.0, std::abs(x));
+  for (auto it = std::lower_bound(link.numbers.begin(), link.numbers.end(),
+                                  x - reach);
+       it != link.numbers.end() && *it <= x + reach; ++it) {
+    if (NearlyEqual(x, *it)) return true;
+  }
+  return false;
 }
 
 void TableIndex::BuildColumn(size_t c) const {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
+#include <cmath>
 #include <filesystem>
 #include <map>
 #include <set>
@@ -164,6 +165,37 @@ TEST(NumericTest, RejectsNonNumbers) {
   EXPECT_FALSE(ParseNumber("+-5").has_value());
   EXPECT_FALSE(ParseNumber("-").has_value());
   EXPECT_FALSE(ParseNumber("-$").has_value());
+}
+
+// Regression test: ParseNumber used to hand its input to strtod whole, so
+// the non-decimal forms strtod also reads became numbers: a cell "Nan"
+// (a given name) became NaN and "Inf" became +infinity.
+TEST(NumericTest, RejectsNonDecimalStrtodForms) {
+  for (const char* text :
+       {"Nan", "nan", "NAN", "-nan", "nan(1)", "Inf", "inf", "-inf", "+Inf",
+        "infinity", "-Infinity", "$inf", "(inf)", "nan%", "0x10", "0X1F",
+        "-0x10", "0x1p3", "$0x10", "1e", "1e+", "e5", ".", "-.", ".e3",
+        "1.2.3", "1e999", "-1e999", "5 5", "$-+5", "$--5"}) {
+    EXPECT_FALSE(ParseNumber(text).has_value()) << text;
+  }
+}
+
+// The decimal forms strtod read before keep their values: optional sign,
+// missing integer or fraction digits, exponents, and a sign after the
+// currency prefix.
+TEST(NumericTest, KeepsDecimalForms) {
+  EXPECT_DOUBLE_EQ(*ParseNumber(".5"), 0.5);
+  EXPECT_DOUBLE_EQ(*ParseNumber("5."), 5.0);
+  EXPECT_DOUBLE_EQ(*ParseNumber("-.5"), -0.5);
+  EXPECT_DOUBLE_EQ(*ParseNumber("1E3"), 1000.0);
+  EXPECT_DOUBLE_EQ(*ParseNumber("2.5e-3"), 0.0025);
+  EXPECT_DOUBLE_EQ(*ParseNumber("+1e+2"), 100.0);
+  EXPECT_DOUBLE_EQ(*ParseNumber("1,234e2"), 123400.0);
+  EXPECT_DOUBLE_EQ(*ParseNumber("$-5"), -5.0);
+  EXPECT_DOUBLE_EQ(*ParseNumber("USD +3"), 3.0);
+  EXPECT_DOUBLE_EQ(*ParseNumber("007"), 7.0);
+  EXPECT_DOUBLE_EQ(*ParseNumber("1e308"), 1e308);
+  EXPECT_TRUE(std::signbit(*ParseNumber("-0")));
 }
 
 TEST(NumericTest, FormatNumberCompact) {

@@ -13,12 +13,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/numeric.h"
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "logic/executor.h"
+#include "obs/metrics.h"
 #include "program/library.h"
 #include "program/sampler.h"
 #include "sql/executor.h"
@@ -580,6 +586,191 @@ TEST(RowIndexByNameTest, IndexedLookupKeepsSemantics) {
   *t.mutable_cell(1, 0) = Value::String("Prussia");
   EXPECT_EQ(t.RowIndexByName("Prussia").ValueOrDie(), 1u);
   EXPECT_FALSE(t.RowIndexByName("Germany").ok());
+}
+
+// ------------------------------------------------------------ linking index
+//
+// TableIndex::linking() answers three questions that used to be full-table
+// scans; each is diffed here against that scan.
+
+// Every WordTokens token of every non-null cell and every column name.
+std::set<std::string> ScanTokens(const Table& t) {
+  std::set<std::string> out;
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      if (t.cell(r, c).is_null()) continue;
+      for (std::string& tok : WordTokens(t.cell(r, c).ToDisplayString())) {
+        out.insert(std::move(tok));
+      }
+    }
+  }
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    for (std::string& tok : WordTokens(t.schema().column(c).name)) {
+      out.insert(std::move(tok));
+    }
+  }
+  return out;
+}
+
+bool ScanNearlyEqual(const Table& t, double x) {
+  for (size_t r = 0; r < t.num_rows(); ++r) {
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      const Value& v = t.cell(r, c);
+      if (v.is_number() && NearlyEqual(x, v.number())) return true;
+    }
+  }
+  return false;
+}
+
+TEST(LinkingIndexTest, TokensAndCandidateRowsMatchScan) {
+  Table t = FinanceTable();
+  const std::set<std::string> tokens = ScanTokens(t);
+  for (const std::string& tok : tokens) EXPECT_TRUE(t.index().HasToken(tok));
+  for (const char* tok : {"profit", "1,234", "$1", "12", "100", "fy2021",
+                          "w", "", "revenues", "-5"}) {
+    EXPECT_EQ(t.index().HasToken(tok), tokens.count(tok) > 0) << tok;
+  }
+  // Candidate rows are exactly the rows holding one of the tokens (no two
+  // of these tokens collide), ascending and each once.
+  const std::vector<std::string> probe = {"$1,234", "revenue", "100%",
+                                          "25", "cost", "nothing"};
+  std::vector<uint32_t> hashes;
+  for (const std::string& tok : probe) {
+    hashes.push_back(TableIndex::TokenHash(tok));
+  }
+  for (size_t c = 0; c < t.num_columns(); ++c) {
+    std::vector<uint32_t> want;
+    for (size_t r = 0; r < t.num_rows(); ++r) {
+      if (t.cell(r, c).is_null()) continue;
+      for (const std::string& tok :
+           WordTokens(t.cell(r, c).ToDisplayString())) {
+        if (std::find(probe.begin(), probe.end(), tok) != probe.end()) {
+          want.push_back(static_cast<uint32_t>(r));
+          break;
+        }
+      }
+    }
+    EXPECT_EQ(t.index().CandidateRows(c, hashes), want) << "column " << c;
+  }
+}
+
+// Random number sets with ±0, ±infinity and NaN mixed in, probed at and
+// around NearlyEqual's tolerance (absolute 1e-6, relative 1e-6) of every
+// stored value, and at non-finite points.
+TEST(LinkingIndexTest, NearlyEqualProbeMatchesScan) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(91);
+  for (int trial = 0; trial < 200; ++trial) {
+    Table t("numbers", Schema({{"name", ColumnType::kText},
+                               {"x", ColumnType::kNumber}}));
+    std::vector<double> stored;
+    size_t n = static_cast<size_t>(rng.UniformInt(0, 12));
+    for (size_t i = 0; i < n; ++i) {
+      double x;
+      switch (rng.UniformInt(0, 6)) {
+        case 0: x = rng.Bernoulli(0.5) ? 0.0 : -0.0; break;
+        case 1: x = rng.Bernoulli(0.5) ? inf : -inf; break;
+        case 2: x = nan; break;
+        case 3: x = rng.UniformDouble(-1e15, 1e15); break;
+        case 4: x = rng.UniformDouble(-1e-5, 1e-5); break;
+        default: x = static_cast<double>(rng.UniformInt(-50, 50)); break;
+      }
+      stored.push_back(x);
+      ASSERT_TRUE(t.AppendRow({Value::String("r" + std::to_string(i)),
+                               Value::Number(x)})
+                      .ok());
+    }
+    std::vector<double> probes = {0.0, -0.0, inf, -inf, nan, 1e15, -1e15,
+                                  1e-6, -1e-6, 2e-6};
+    for (double x : stored) {
+      for (double k : {0.0, 0.5, 0.99, 1.0, 1.01, 1.5, 2.0, 2.5}) {
+        probes.push_back(x + k * 1e-6 * std::abs(x));
+        probes.push_back(x - k * 1e-6 * std::abs(x));
+        probes.push_back(x + k * 1e-6);
+        probes.push_back(x - k * 1e-6);
+      }
+    }
+    for (double p : probes) {
+      EXPECT_EQ(t.index().HasNearlyEqualNumber(p), ScanNearlyEqual(t, p))
+          << "probe " << p << " trial " << trial;
+    }
+  }
+}
+
+// Warm() builds the column caches only; the first linking probe builds the
+// linking index once, and later probes reuse it.
+TEST(LinkingIndexTest, BuiltLazilyOnceAndNotByWarm) {
+  obs::Counter* builds =
+      obs::DefaultRegistry().counter("table_link_builds_total");
+  obs::Histogram* build_us =
+      obs::DefaultRegistry().histogram("table_link_build_us");
+  Table t = MedalTable();
+  const uint64_t before = builds->value();
+  const uint64_t observed = build_us->count();
+  t.WarmIndex();
+  EXPECT_EQ(builds->value(), before);
+  EXPECT_TRUE(t.index().HasToken("norway"));
+  EXPECT_TRUE(t.index().HasNearlyEqualNumber(37));
+  EXPECT_FALSE(t.index().HasNearlyEqualNumber(36));
+  EXPECT_EQ(builds->value(), before + 1);
+  EXPECT_EQ(build_us->count(), observed + 1);
+  // A mutation drops the index; the next probe rebuilds from current cells.
+  *t.mutable_cell(0, 0) = Value::String("Finland");
+  EXPECT_FALSE(t.index().HasToken("norway"));
+  EXPECT_TRUE(t.index().HasToken("finland"));
+  EXPECT_EQ(builds->value(), before + 2);
+}
+
+// Concurrent first touch of the linking build: 8 threads probe one shared
+// const Table whose linking index has not been built. The build must run
+// exactly once (TSan-clean under `UCTR_SANITIZE=thread scripts/check.sh
+// index_test`), and every thread must see the scan's answers.
+TEST(LinkingIndexTest, ConcurrentFirstTouchBuildsOnce) {
+  const Table table = FinanceTable();
+  const std::set<std::string> tokens = ScanTokens(table);
+  const std::vector<std::string> probe = {"revenue", "$1,234", "growth",
+                                          "fy2019", "absent", "12.5%"};
+  const std::vector<double> numbers = {1234, 25, 31, 12.5, 7, 100};
+  std::vector<uint32_t> hashes;
+  for (const std::string& tok : probe) {
+    hashes.push_back(TableIndex::TokenHash(tok));
+  }
+  Table reference = table;
+  std::vector<std::vector<uint32_t>> want_rows;
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    want_rows.push_back(reference.index().CandidateRows(c, hashes));
+  }
+  obs::Counter* builds =
+      obs::DefaultRegistry().counter("table_link_builds_total");
+  const uint64_t before = builds->value();
+
+  constexpr int kThreads = 8;
+  std::vector<int> mismatches(kThreads, 0);
+  {
+    std::vector<std::thread> workers;
+    workers.reserve(kThreads);
+    for (int i = 0; i < kThreads; ++i) {
+      workers.emplace_back([&, i] {
+        const TableIndex& index = table.index();
+        for (const std::string& tok : probe) {
+          mismatches[i] += index.HasToken(tok) != (tokens.count(tok) > 0);
+        }
+        for (double x : numbers) {
+          mismatches[i] +=
+              index.HasNearlyEqualNumber(x) != ScanNearlyEqual(table, x);
+        }
+        for (size_t c = 0; c < table.num_columns(); ++c) {
+          mismatches[i] += index.CandidateRows(c, hashes) != want_rows[c];
+        }
+      });
+    }
+    for (std::thread& w : workers) w.join();
+  }
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(mismatches[i], 0) << "thread " << i;
+  }
+  EXPECT_EQ(builds->value(), before + 1);
 }
 
 }  // namespace

@@ -472,6 +472,17 @@ TEST(ServerTest, StatsOpReturnsPopulatedJson) {
   EXPECT_NE(stats.find("\"workers\":1"), std::string::npos) << stats;
   EXPECT_NE(stats.find("\"execute_p50_us\":"), std::string::npos) << stats;
   EXPECT_NE(stats.find("\"queue_depth\":"), std::string::npos) << stats;
+  // The verify linked its inline table, which built that table's linking
+  // index. The counter is process-wide, so other tests may add to it.
+  const std::string builds_key = "\"table_link_builds_total\":";
+  size_t builds_at = stats.find(builds_key);
+  ASSERT_NE(builds_at, std::string::npos) << stats;
+  EXPECT_GE(std::stoull(stats.substr(builds_at + builds_key.size())), 1u)
+      << stats;
+  EXPECT_NE(stats.find("\"table_link_build_mean_us\":"), std::string::npos)
+      << stats;
+  EXPECT_NE(stats.find("\"table_link_build_p99_us\":"), std::string::npos)
+      << stats;
 }
 
 TEST(ServerTest, RepeatedRequestIsServedFromCache) {

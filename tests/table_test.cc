@@ -22,6 +22,24 @@ TEST(ValueTest, FromTextInference) {
   EXPECT_TRUE(Value::FromText("hello world").is_string());
 }
 
+// Words strtod reads as numbers ("Nan", "Inf", "infinity", "0x10") are
+// text cells: a column of given names must not turn into NaN.
+TEST(ValueTest, NonDecimalWordsStayText) {
+  for (const char* text : {"Nan", "Inf", "infinity", "0x10", "-inf"}) {
+    Value v = Value::FromText(text);
+    EXPECT_TRUE(v.is_string()) << text;
+    EXPECT_FALSE(v.ToNumber().ok()) << text;
+  }
+  Table t = Table::FromCsv("name,score\nNan,3\nInf,4\n").ValueOrDie();
+  EXPECT_EQ(t.schema().column(0).type, ColumnType::kText);
+  EXPECT_TRUE(t.cell(0, 0).is_string());
+  EXPECT_EQ(t.cell(1, 0).ToDisplayString(), "Inf");
+  // As NaN, "Nan" was unequal even to itself; as +inf, "Inf" was "nearly
+  // equal" to every finite number.
+  EXPECT_TRUE(Value::String("Nan").Equals(Value::String("nan")));
+  EXPECT_FALSE(Value::String("Inf").Equals(Value::Number(1e308)));
+}
+
 TEST(ValueTest, NumberKeepsSurfaceText) {
   Value v = Value::FromText(" $1,200.50 ");
   ASSERT_TRUE(v.is_number());
