@@ -78,6 +78,21 @@ else
 fi
 
 cd "$BUILD_DIR"
+
+# expect_usage_error FLAG CMD...: CMD must exit 1 and name --FLAG on
+# stderr. Used with malformed numeric flags, which the binaries reject
+# before they start any thread or open any socket.
+expect_usage_error() {
+  local flag="$1"; shift
+  local err rc=0
+  err=$("$@" 2>&1 >/dev/null) || rc=$?
+  if [[ "$rc" -ne 1 || "$err" != *"--$flag"* ]]; then
+    echo "usage error: '$*' exited $rc with '$err'" \
+      "(want exit 1 naming --$flag)" >&2
+    exit 1
+  fi
+}
+
 if [[ "${1:-}" == faults ]]; then
   # Chaos mode: the fault-injection/resilience suite and the input fuzzer
   # under the configured sanitizer, then a bounded chaos drill of the real
@@ -91,7 +106,7 @@ if [[ "${1:-}" == faults ]]; then
   done)
   RESPONSES=$(printf '%s\n' "$REQUESTS" | ./src/serve/uctr_serve serve \
     --workers 4 --fault-spec \
-    'serve.index_warm=error:p=0.5;serve.cache_get=error:p=0.3;serve.table_parse=error(unavailable):n=5;sched.dequeue=latency(2):p=0.3' \
+    'serve.cache_get=error:p=0.3;serve.table_parse=error(unavailable):n=5;sched.dequeue=latency(2):p=0.3' \
     --fault-seed 7)
   GOT=$(printf '%s\n' "$RESPONSES" | grep -c '"id"')
   if [[ "$GOT" -ne 20 ]]; then
@@ -149,7 +164,7 @@ if [[ "${1:-}" == net ]]; then
 
   run_soak clean
   run_soak chaos --fault-spec \
-    'serve.index_warm=error:p=0.5;serve.cache_get=error:p=0.3;sched.dequeue=latency(2):p=0.3' \
+    'serve.cache_get=error:p=0.3;sched.dequeue=latency(2):p=0.3' \
     --fault-seed 7
   echo "net ($SANITIZE) check passed"
   exit 0
@@ -424,6 +439,8 @@ if [[ "${1:-}" == router ]]; then
   # retried or failed over — every response still arrives), then SIGTERM
   # the router and require a graceful drain with exit 0.
   ./tests/router_test
+  expect_usage_error workers ./src/net/uctr_router --listen 127.0.0.1:0 \
+    --backends 127.0.0.1:1 --workers abc
 
   start_serve() {  # start_serve ERRLOG -> echoes port, backend pid in $!
     local errlog="$1"
@@ -501,6 +518,11 @@ if [[ "${1:-}" == selftrain ]]; then
   # even between two uninterrupted runs (the MANIFEST, filter, weights,
   # losses, and RESULT artifacts are the determinism contract).
   ./tests/selftrain_test
+
+  usage_dir=$(mktemp -d)
+  expect_usage_error threads ./src/selftrain/uctr_selftrain \
+    --state-dir "$usage_dir" --threads 2x
+  rm -rf "$usage_dir"
 
   st_args=(--rounds 2 --seed 11 --tables 6 --samples-per-table 6
            --eval-tables 6 --threads 2)

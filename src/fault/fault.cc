@@ -247,4 +247,14 @@ Status FaultInjector::Check(const char* site) {
   return injected;
 }
 
+Status ArmFromFlags(const FlagMap& flags) {
+  auto spec = flags.find("fault-spec");
+  if (spec == flags.end()) return Status::OK();
+  FlagReader reader(flags);
+  uint64_t seed = reader.Unsigned("fault-seed", 0);
+  if (!reader.status().ok()) return reader.status();
+  if (flags.count("fault-seed") != 0) FaultInjector::Global().Seed(seed);
+  return FaultInjector::Global().ArmSpec(spec->second);
+}
+
 }  // namespace uctr::fault

@@ -8,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "obs/metrics.h"
@@ -23,7 +24,7 @@ enum class FaultKind {
 /// \brief One armed injection rule, targeting a named site.
 ///
 /// Sites are dotted strings compiled into the code via UCTR_FAULT_POINT
-/// ("serve.index_warm", "gen.shard", ...). A rule matches its site exactly,
+/// ("serve.cache_get", "gen.shard", ...). A rule matches its site exactly,
 /// or by prefix when the rule's site ends in '*' ("serve.*").
 struct FaultRule {
   std::string site;
@@ -85,7 +86,7 @@ class FaultInjector {
   /// invalid_argument, type_error, out_of_range, empty_result.
   ///
   /// Example:
-  ///   serve.index_warm=error(unavailable):p=0.5;sched.dequeue=latency(5)
+  ///   serve.cache_get=error(unavailable):p=0.5;sched.dequeue=latency(5)
   Status ArmSpec(std::string_view spec);
 
   /// \brief Parses without arming (exposed for tests and validation).
@@ -123,6 +124,11 @@ class FaultInjector {
   Rng rng_{0xFA17ULL};
   obs::MetricsRegistry* metrics_ = nullptr;  // null = DefaultRegistry()
 };
+
+/// \brief `--fault-spec SPEC [--fault-seed N]`: seeds and arms the
+/// global injector, for the binaries to call before any work starts. OK
+/// without --fault-spec; an error on a malformed spec or seed.
+Status ArmFromFlags(const FlagMap& flags);
 
 }  // namespace uctr::fault
 

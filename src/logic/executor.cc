@@ -542,11 +542,8 @@ class Evaluator {
 Result<ExecResult> Execute(const Node& node, const Table& table,
                            const ExecOptions& opts) {
   const LogicInstruments& inst = LogicInstruments::Get();
-  // As in sql::Execute: a degraded table (index_enabled() == false) runs
-  // the bit-identical scan path even when opts ask for the index.
-  bool indexed = opts.use_index && table.index_enabled();
-  (indexed ? inst.exec_indexed : inst.exec_scan)->Increment();
-  Evaluator eval(table, indexed ? &table.index() : nullptr);
+  (opts.use_index ? inst.exec_indexed : inst.exec_scan)->Increment();
+  Evaluator eval(table, opts.use_index ? &table.index() : nullptr);
   Result<LogicValue> evaluated = eval.Eval(node);
   inst.rows_scanned->Increment(eval.rows_scanned());
   UCTR_RETURN_NOT_OK(evaluated.status());

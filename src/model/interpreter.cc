@@ -63,16 +63,16 @@ std::string NlInterpreter::ClaimedValue(const std::string& sentence) {
   }
   if (pos == std::string::npos) return "";
   std::string tail = Trim(sentence.substr(pos + verb_len));
-  // Strip hedges and negations that precede the value.
+  // Strip qualifiers ("about", "not", ...) that precede the value.
   bool changed = true;
   while (changed) {
     changed = false;
-    for (std::string_view hedge :
+    for (std::string_view qualifier :
          {"about ", "approximately ", "around ", "roughly ", "not ",
           "the same as ", "equal to "}) {
-      if (tail.size() > hedge.size() &&
-          EqualsIgnoreCase(tail.substr(0, hedge.size()), hedge)) {
-        tail = Trim(tail.substr(hedge.size()));
+      if (tail.size() > qualifier.size() &&
+          EqualsIgnoreCase(tail.substr(0, qualifier.size()), qualifier)) {
+        tail = Trim(tail.substr(qualifier.size()));
         changed = true;
       }
     }

@@ -39,7 +39,6 @@ class Client {
                                     kDefaultMaxFrameBytes);
 
   bool connected() const { return fd_ >= 0; }
-  int fd() const { return fd_; }
 
   /// \brief Frames and writes one request payload, looping over partial
   /// writes until the whole frame is on the wire.

@@ -2,9 +2,7 @@
 // `uctr_serve --listen` backends.
 //
 //   uctr_router --listen HOST:PORT --backends HOST:PORT[,HOST:PORT...]
-//               [--workers N] [--queue N] [--replicas N]
-//               [--put-replicas N]
-//               [--hot-threshold N] [--hot-window-ms N]
+//               [--workers N] [--queue N] [--put-replicas N]
 //               [--probe-interval-ms N] [--probe-timeout-ms N]
 //               [--timeout-ms N] [--vnodes N]
 //               [--metrics] [--trace-out FILE]
@@ -14,7 +12,7 @@
 // per-connection ordered responses), so clients — including uctr_load —
 // cannot tell a router from a single backend. Requests route by table
 // fingerprint over a consistent-hash ring (see src/net/router.h for the
-// routing, failover, hedging, and membership rules).
+// routing, failover, replication, and membership rules).
 //
 // Port 0 binds an ephemeral port; the resolved address is announced on
 // stderr as "uctr_router: listening on HOST:PORT" (same contract as
@@ -23,18 +21,20 @@
 // request against the backends, flush every response, then exit. Exit 0
 // guarantees every requested byte made it out.
 //
+// Numeric flags take unsigned decimal values; a malformed one exits 1
+// with a message naming the flag, before any thread or socket starts.
+//
 // --fault-spec arms the injector for the router's own sites
 // (router.connect / router.send / router.recv / router.probe) plus the
 // shared transport sites (net.accept / net.read / net.write).
 
 #include <csignal>
-#include <cstring>
-#include <fstream>
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
+#include "common/file_util.h"
+#include "common/flags.h"
 #include "fault/fault.h"
 #include "net/router.h"
 #include "net/server.h"
@@ -64,43 +64,7 @@ void InstallShutdownHandlers() {
   sigaction(SIGTERM, &action, nullptr);
 }
 
-std::map<std::string, std::string> ParseFlags(int argc, char** argv,
-                                              int first) {
-  std::map<std::string, std::string> flags;
-  for (int i = first; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    std::string key = arg.substr(2);
-    std::string value = "1";
-    if (auto eq = key.find('='); eq != std::string::npos) {
-      value = key.substr(eq + 1);
-      key = key.substr(0, eq);
-    } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      value = argv[++i];
-    }
-    flags[key] = value;
-  }
-  return flags;
-}
-
-size_t FlagSize(const std::map<std::string, std::string>& flags,
-                const std::string& key, size_t fallback) {
-  auto it = flags.find(key);
-  if (it == flags.end()) return fallback;
-  return static_cast<size_t>(std::stoul(it->second));
-}
-
-Status MaybeArmFaults(const std::map<std::string, std::string>& flags) {
-  auto it = flags.find("fault-spec");
-  if (it == flags.end()) return Status::OK();
-  if (auto seed = flags.find("fault-seed"); seed != flags.end()) {
-    fault::FaultInjector::Global().Seed(std::stoull(seed->second));
-  }
-  return fault::FaultInjector::Global().ArmSpec(it->second);
-}
-
-std::string MaybeEnableTracing(
-    const std::map<std::string, std::string>& flags) {
+std::string MaybeEnableTracing(const FlagMap& flags) {
   auto it = flags.find("trace-out");
   if (it == flags.end()) return "";
   obs::Tracer::Default().set_enabled(true);
@@ -108,10 +72,8 @@ std::string MaybeEnableTracing(
 }
 
 int DumpTrace(const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (out) out << obs::Tracer::Default().ToLdjson();
-  out.close();
-  if (!out) return Fail("cannot write trace to " + path);
+  Status s = WriteFileAtomic(path, obs::Tracer::Default().ToLdjson());
+  if (!s.ok()) return Fail(s.ToString());
   std::cerr << "wrote " << obs::Tracer::Default().size() << " spans to "
             << path << "\n";
   return 0;
@@ -143,7 +105,7 @@ Result<std::vector<net::HostPort>> ParseBackends(const std::string& list) {
   return backends;
 }
 
-int Run(const std::map<std::string, std::string>& flags) {
+int Run(const FlagMap& flags) {
   auto listen_it = flags.find("listen");
   if (listen_it == flags.end()) {
     return Fail("--listen HOST:PORT is required");
@@ -157,26 +119,21 @@ int Run(const std::map<std::string, std::string>& flags) {
   auto backends = ParseBackends(backends_it->second);
   if (!backends.ok()) return Fail(backends.status().ToString());
 
-  std::string trace_path = MaybeEnableTracing(flags);
-
   net::RouterConfig router_config;
   router_config.backends = std::move(*backends);
-  router_config.workers = FlagSize(flags, "workers", 64);
-  router_config.queue_capacity = FlagSize(flags, "queue", 8192);
-  router_config.vnodes = FlagSize(flags, "vnodes", 64);
-  router_config.replicas = FlagSize(flags, "replicas", 1);
+  FlagReader reader(flags);
+  router_config.workers = reader.Unsigned("workers", 64, kMaxThreadsFlag);
+  router_config.queue_capacity = reader.Unsigned("queue", 8192);
+  router_config.vnodes = reader.Unsigned("vnodes", 64);
   // Durability fan-out: each acked put_table also lands on N-1 ring
   // successors (see router.h; replica failures are counted, not fatal).
-  router_config.put_replicas = FlagSize(flags, "put-replicas", 1);
-  router_config.hot_threshold = FlagSize(flags, "hot-threshold", 64);
-  router_config.hot_window_ms =
-      static_cast<int>(FlagSize(flags, "hot-window-ms", 1000));
-  router_config.probe_interval_ms =
-      static_cast<int>(FlagSize(flags, "probe-interval-ms", 100));
-  router_config.probe_timeout_ms =
-      static_cast<int>(FlagSize(flags, "probe-timeout-ms", 500));
-  router_config.call_timeout_ms =
-      static_cast<int>(FlagSize(flags, "timeout-ms", 30000));
+  router_config.put_replicas = reader.Unsigned("put-replicas", 1);
+  router_config.probe_interval_ms = reader.Int("probe-interval-ms", 100);
+  router_config.probe_timeout_ms = reader.Int("probe-timeout-ms", 500);
+  router_config.call_timeout_ms = reader.Int("timeout-ms", 30000);
+  if (!reader.status().ok()) return Fail(reader.status().ToString());
+
+  std::string trace_path = MaybeEnableTracing(flags);
   net::Router router(router_config);
   if (Status s = router.Start(); !s.ok()) return Fail(s.ToString());
   std::cerr << "uctr_router: ring of " << router.backend_count()
@@ -215,6 +172,9 @@ int Run(const std::map<std::string, std::string>& flags) {
 
 int main(int argc, char** argv) {
   auto flags = ParseFlags(argc, argv, 1);
-  if (Status s = MaybeArmFaults(flags); !s.ok()) return Fail(s.ToString());
-  return Run(flags);
+  if (!flags.ok()) return Fail(flags.status().ToString());
+  if (Status s = fault::ArmFromFlags(*flags); !s.ok()) {
+    return Fail(s.ToString());
+  }
+  return Run(*flags);
 }

@@ -141,7 +141,10 @@ void Server::Shutdown() {
 }
 
 void Server::Tick() {
-  if (shutdown_flag_ != nullptr && *shutdown_flag_ != 0) {
+  // A process-directed signal may run its handler on any thread, so the
+  // flag is read atomically (relaxed: it only starts the drain).
+  if (shutdown_flag_ != nullptr &&
+      __atomic_load_n(shutdown_flag_, __ATOMIC_RELAXED) != 0) {
     shutdown_requested_.store(true, std::memory_order_release);
   }
   if (shutdown_requested_.load(std::memory_order_acquire) && !draining_) {

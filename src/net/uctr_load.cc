@@ -62,11 +62,11 @@
 #include <deque>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/json.h"
 #include "fault/policy.h"
 #include "net/client.h"
@@ -423,19 +423,9 @@ std::string Fixed(double v, int decimals = 1) {
 
 int main(int argc, char** argv) {
   Options options;
-  std::map<std::string, std::string> flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) return Fail("unexpected argument " + arg);
-    std::string key = arg.substr(2), value = "1";
-    if (auto eq = key.find('='); eq != std::string::npos) {
-      value = key.substr(eq + 1);
-      key = key.substr(0, eq);
-    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      value = argv[++i];  // bare flags (--put-table) stay "1"
-    }
-    flags[key] = value;
-  }
+  auto parsed = ParseFlags(argc, argv, 1);
+  if (!parsed.ok()) return Fail(parsed.status().ToString());
+  FlagMap& flags = *parsed;
   auto connect_it = flags.find("connect");
   auto router_it = flags.find("router");
   if ((connect_it == flags.end()) == (router_it == flags.end())) {
@@ -464,24 +454,23 @@ int main(int argc, char** argv) {
   if (options.endpoints.empty()) {
     return Fail("no endpoint in '" + endpoint_list + "'");
   }
-  if (flags.count("connections")) {
-    options.connections = std::stoul(flags["connections"]);
-  }
-  if (flags.count("requests")) options.requests = std::stoul(flags["requests"]);
-  if (flags.count("qps")) options.qps = std::stod(flags["qps"]);
-  if (flags.count("pipeline")) options.pipeline = std::stoul(flags["pipeline"]);
-  if (flags.count("tables")) options.tables = std::stoul(flags["tables"]);
+  FlagReader reader(flags);
+  options.connections =
+      reader.Unsigned("connections", options.connections, kMaxThreadsFlag);
+  options.requests = reader.Unsigned("requests", options.requests);
+  options.qps = reader.Double("qps", options.qps);
+  options.pipeline = reader.Unsigned("pipeline", options.pipeline);
+  options.tables = reader.Unsigned("tables", options.tables);
+  options.timeout_ms = reader.Int("timeout-ms", options.timeout_ms);
+  options.put_retries = reader.Int("put-retries", options.put_retries);
+  if (!reader.status().ok()) return Fail(reader.status().ToString());
   if (flags.count("put-table")) options.put_table = flags["put-table"] != "0";
   if (flags.count("distinct-tables")) {
     options.distinct_tables = flags["distinct-tables"] != "0";
   }
   if (flags.count("op")) options.op = flags["op"];
   if (flags.count("report-json")) options.report_json = flags["report-json"];
-  if (flags.count("timeout-ms")) options.timeout_ms = std::stoi(flags["timeout-ms"]);
-  if (flags.count("put-retries")) {
-    options.put_retries = std::stoi(flags["put-retries"]);
-    if (options.put_retries < 1) return Fail("--put-retries must be >= 1");
-  }
+  if (options.put_retries < 1) return Fail("--put-retries must be >= 1");
   if (options.connections == 0 || options.pipeline == 0 ||
       options.tables == 0) {
     return Fail("--connections, --pipeline, and --tables must be positive");

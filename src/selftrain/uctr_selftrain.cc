@@ -10,14 +10,15 @@
 // resume to a byte-identical result. --fault-spec/--fault-seed arm the
 // fault injector (sites selftrain.generate/label/train/eval plus
 // everything deeper); --trace-out dumps spans; --report-json captures
-// this run's per-phase wall times for the bench harness.
+// this run's per-phase wall times for the bench harness. A malformed
+// numeric flag exits 1 with a message naming it, before any thread starts.
 
-#include <cstring>
+#include <cstdio>
 #include <iostream>
-#include <map>
 #include <string>
 
 #include "common/file_util.h"
+#include "common/flags.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -30,47 +31,6 @@ using namespace uctr;
 int Fail(const std::string& message) {
   std::cerr << "uctr_selftrain: " << message << "\n";
   return 1;
-}
-
-std::map<std::string, std::string> ParseFlags(int argc, char** argv) {
-  std::map<std::string, std::string> flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    std::string key = arg.substr(2);
-    std::string value = "1";
-    if (auto eq = key.find('='); eq != std::string::npos) {
-      value = key.substr(eq + 1);
-      key = key.substr(0, eq);
-    } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      value = argv[++i];
-    }
-    flags[key] = value;
-  }
-  return flags;
-}
-
-size_t FlagSize(const std::map<std::string, std::string>& flags,
-                const std::string& key, size_t fallback) {
-  auto it = flags.find(key);
-  if (it == flags.end()) return fallback;
-  return static_cast<size_t>(std::stoul(it->second));
-}
-
-double FlagDouble(const std::map<std::string, std::string>& flags,
-                  const std::string& key, double fallback) {
-  auto it = flags.find(key);
-  if (it == flags.end()) return fallback;
-  return std::stod(it->second);
-}
-
-Status MaybeArmFaults(const std::map<std::string, std::string>& flags) {
-  auto it = flags.find("fault-spec");
-  if (it == flags.end()) return Status::OK();
-  if (auto seed = flags.find("fault-seed"); seed != flags.end()) {
-    fault::FaultInjector::Global().Seed(std::stoull(seed->second));
-  }
-  return fault::FaultInjector::Global().ArmSpec(it->second);
 }
 
 /// Appends the run's delta table to an experiments log, once: the table
@@ -123,7 +83,9 @@ std::string ReportJson(const selftrain::SelfTrainReport& report) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto flags = ParseFlags(argc, argv);
+  auto parsed = ParseFlags(argc, argv, 1);
+  if (!parsed.ok()) return Fail(parsed.status().ToString());
+  const FlagMap& flags = *parsed;
   if (flags.count("help")) {
     std::cout
         << "usage: uctr_selftrain --state-dir DIR [--rounds N] [--task "
@@ -140,8 +102,9 @@ int main(int argc, char** argv) {
   auto dir = flags.find("state-dir");
   if (dir == flags.end()) return Fail("--state-dir is required");
   config.state_dir = dir->second;
-  config.rounds = FlagSize(flags, "rounds", 3);
-  config.seed = FlagSize(flags, "seed", 42);
+  FlagReader reader(flags);
+  config.rounds = reader.Unsigned("rounds", 3);
+  config.seed = reader.Unsigned("seed", 42);
   if (auto it = flags.find("task"); it != flags.end()) {
     if (it->second == "fv") {
       config.task = TaskType::kFactVerification;
@@ -151,16 +114,19 @@ int main(int argc, char** argv) {
       return Fail("--task must be fv or qa");
     }
   }
-  config.tables_per_round = FlagSize(flags, "tables", 10);
-  config.samples_per_table = FlagSize(flags, "samples-per-table", 8);
-  config.eval_tables = FlagSize(flags, "eval-tables", 10);
-  config.filter.threshold = FlagDouble(flags, "threshold", 0.3);
-  config.filter.temperature = FlagDouble(flags, "temperature", 1.0);
+  config.tables_per_round = reader.Unsigned("tables", 10);
+  config.samples_per_table = reader.Unsigned("samples-per-table", 8);
+  config.eval_tables = reader.Unsigned("eval-tables", 10);
+  config.filter.threshold = reader.Double("threshold", 0.3);
+  config.filter.temperature = reader.Double("temperature", 1.0);
   if (flags.count("no-agreement")) config.filter.require_agreement = false;
-  config.num_threads = FlagSize(flags, "threads", 2);
-  config.max_phase_steps = FlagSize(flags, "max-phase-steps", 0);
+  config.num_threads = reader.Unsigned("threads", 2, kMaxThreadsFlag);
+  config.max_phase_steps = reader.Unsigned("max-phase-steps", 0);
+  if (!reader.status().ok()) return Fail(reader.status().ToString());
 
-  if (Status s = MaybeArmFaults(flags); !s.ok()) return Fail(s.ToString());
+  if (Status s = fault::ArmFromFlags(flags); !s.ok()) {
+    return Fail(s.ToString());
+  }
   std::string trace_path;
   if (auto it = flags.find("trace-out"); it != flags.end()) {
     obs::Tracer::Default().set_enabled(true);

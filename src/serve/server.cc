@@ -24,9 +24,9 @@ std::string ResponseLine(uint64_t id, const std::string& status,
     out += "," + json::Quote(field_name) + ":" + json::Quote(field_value);
   }
   // Degraded responses carry the same answer bytes as the healthy path
-  // (scan execution is bit-identical; cache bypass recomputes the same
-  // body) plus this marker, so clients can see they were served by a
-  // fallback.
+  // (cache bypass recomputes the same body; the store fallback runs the
+  // request's inline copy of the same table) plus this marker, so
+  // clients can see they were served by a fallback.
   if (degraded) out += ",\"degraded\":true";
   out += "}";
   return out;
@@ -77,7 +77,6 @@ Server::Server(const InferenceEngine* engine, ServerConfig config)
                 metrics_),
       scheduler_(config.scheduler, metrics_),
       retry_(config.retry, /*seed=*/0x5EEDULL, metrics_),
-      index_breaker_("index", config.breaker, metrics_),
       cache_breaker_("cache", config.breaker, metrics_),
       requests_total_(metrics_->counter("requests_total")),
       responses_ok_(metrics_->counter("responses_ok_total")),
@@ -85,8 +84,6 @@ Server::Server(const InferenceEngine* engine, ServerConfig config)
       responses_timeout_(metrics_->counter("responses_timeout_total")),
       responses_error_(metrics_->counter("responses_error_total")),
       responses_degraded_(metrics_->counter("responses_degraded_total")),
-      degraded_index_fallback_(
-          metrics_->counter("degraded_index_fallback_total")),
       degraded_cache_bypass_(
           metrics_->counter("degraded_cache_bypass_total")),
       degraded_store_fallback_(
@@ -503,30 +500,10 @@ void Server::SubmitLine(const std::string& line,
       }
       // Build the per-table index once at load; moving the table into
       // the engine carries it through every template execution of the
-      // request. An index-warm fault — or an index breaker opened by
-      // earlier faults — degrades this request to the bit-identical scan
-      // path (use_index=false semantics) instead of failing it.
+      // request.
       obs::Span warm_span = tracer_->StartSpan("serve.index_warm");
       auto warm_started = Scheduler::Clock::now();
-      bool index_degraded = false;
-      if (index_breaker_.Allow()) {
-        Status warm_fault = UCTR_FAULT_POINT("serve.index_warm");
-        if (warm_fault.ok()) {
-          table->WarmIndex();
-          index_breaker_.RecordSuccess();
-        } else {
-          index_breaker_.RecordFailure();
-          index_degraded = true;
-        }
-      } else {
-        index_degraded = true;
-      }
-      if (index_degraded) {
-        table->set_index_enabled(false);
-        degraded_index_fallback_->Increment();
-        warm_span.AddAttr("degraded", "scan_fallback");
-        degraded = true;
-      }
+      table->WarmIndex();
       index_warm_us_->Observe(std::chrono::duration<double, std::micro>(
                                   Scheduler::Clock::now() - warm_started)
                                   .count());
@@ -603,8 +580,6 @@ std::string Server::StatsJson() const {
   out += ",\"responses_rejected_total\":" + count("responses_rejected_total");
   out += ",\"responses_timeout_total\":" + count("responses_timeout_total");
   out += ",\"responses_degraded_total\":" + count("responses_degraded_total");
-  out += ",\"degraded_index_fallback_total\":" +
-         count("degraded_index_fallback_total");
   out += ",\"degraded_cache_bypass_total\":" +
          count("degraded_cache_bypass_total");
   out += ",\"jobs_shed_deadline_total\":" + count("jobs_shed_deadline_total");

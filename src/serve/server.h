@@ -47,8 +47,7 @@ struct ServerConfig {
   /// Transient-failure retry shape for the table-parse and execute stages
   /// (only statuses with IsTransient() are ever retried).
   fault::RetryOptions retry;
-  /// Circuit-breaker shape shared by the per-dependency breakers (index
-  /// warming, result cache).
+  /// Circuit-breaker shape of the result-cache breaker.
   fault::CircuitBreakerOptions breaker;
   /// Byte budget of the content-addressed table registry behind
   /// `put_table`/`table_ref` (store::TableRegistry). The registry is
@@ -126,13 +125,13 @@ struct ServerConfig {
 /// Resilience (see src/fault/ and the README "Robustness" section):
 ///   - transient faults in table parse / execute are retried with
 ///     jittered exponential backoff (ServerConfig::retry);
-///   - index-warm faults degrade the request to the bit-identical scan
-///     path instead of failing it, cache faults degrade to cache bypass;
-///     either marks the response `"degraded":true` (the answer bytes are
-///     identical to the healthy path);
-///   - each degradable dependency sits behind a circuit breaker, so a
-///     dependency that keeps faulting is skipped outright for a cooldown
-///     instead of being probed on every request.
+///   - cache faults degrade to cache bypass instead of failing the
+///     request, and a `table_ref` miss with an inline table falls back to
+///     it; either marks the response `"degraded":true` (the answer bytes
+///     are identical to the healthy path);
+///   - the result cache sits behind a circuit breaker, so a cache that
+///     keeps faulting is skipped outright for a cooldown instead of being
+///     probed on every request.
 class Server : public LineBackend {
  public:
   /// \param engine not owned; must outlive the server.
@@ -206,7 +205,6 @@ class Server : public LineBackend {
   Status recovery_status_;
   Scheduler scheduler_;
   fault::RetryPolicy retry_;
-  fault::CircuitBreaker index_breaker_;
   fault::CircuitBreaker cache_breaker_;
   std::atomic<bool> draining_{false};
 
@@ -216,7 +214,6 @@ class Server : public LineBackend {
   Counter* responses_timeout_;
   Counter* responses_error_;
   Counter* responses_degraded_;
-  Counter* degraded_index_fallback_;
   Counter* degraded_cache_bypass_;
   Counter* degraded_store_fallback_;
   Histogram* execute_us_;

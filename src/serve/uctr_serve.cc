@@ -45,17 +45,18 @@
 // deterministic fault injector (see README.md "Robustness" for the spec
 // grammar) — chaos drills against the real binary.
 //
+// Numeric flags take unsigned decimal values; a malformed one exits 1
+// with a message naming the flag, before any thread or socket starts.
+//
 // See README.md "Serving" and "Observability" for schemas.
 
 #include <csignal>
-#include <cstring>
-#include <fstream>
 #include <iostream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/file_util.h"
+#include "common/flags.h"
 #include "common/rng.h"
 #include "fault/fault.h"
 #include "gen/generator.h"
@@ -94,32 +95,6 @@ void InstallShutdownHandlers() {
   sigaction(SIGTERM, &action, nullptr);
 }
 
-std::map<std::string, std::string> ParseFlags(int argc, char** argv,
-                                              int first) {
-  std::map<std::string, std::string> flags;
-  for (int i = first; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    std::string key = arg.substr(2);
-    std::string value = "1";
-    if (auto eq = key.find('='); eq != std::string::npos) {
-      value = key.substr(eq + 1);
-      key = key.substr(0, eq);
-    } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-      value = argv[++i];
-    }
-    flags[key] = value;
-  }
-  return flags;
-}
-
-size_t FlagSize(const std::map<std::string, std::string>& flags,
-                const std::string& key, size_t fallback) {
-  auto it = flags.find(key);
-  if (it == flags.end()) return fallback;
-  return static_cast<size_t>(std::stoul(it->second));
-}
-
 /// The unlabeled demo corpus `train` mode generates from: one medal-style
 /// table and one financial-report table with paragraph text, mirroring
 /// the examples.
@@ -154,38 +129,9 @@ std::vector<TableWithText> DemoCorpus() {
   return corpus;
 }
 
-Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
-Status WriteFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::ExecutionError("cannot write " + path);
-  out << content;
-  out.close();
-  if (!out) return Status::ExecutionError("short write to " + path);
-  return Status::OK();
-}
-
-/// --fault-spec SPEC [--fault-seed N]: arm the process-wide fault
-/// injector before any work starts. Returns non-OK on a malformed spec.
-Status MaybeArmFaults(const std::map<std::string, std::string>& flags) {
-  auto it = flags.find("fault-spec");
-  if (it == flags.end()) return Status::OK();
-  if (auto seed = flags.find("fault-seed"); seed != flags.end()) {
-    fault::FaultInjector::Global().Seed(std::stoull(seed->second));
-  }
-  return fault::FaultInjector::Global().ArmSpec(it->second);
-}
-
 /// --trace-out FILE: switch on the process-wide tracer up front. Returns
 /// the dump path ("" = tracing off).
-std::string MaybeEnableTracing(
-    const std::map<std::string, std::string>& flags) {
+std::string MaybeEnableTracing(const FlagMap& flags) {
   auto it = flags.find("trace-out");
   if (it == flags.end()) return "";
   obs::Tracer::Default().set_enabled(true);
@@ -193,22 +139,24 @@ std::string MaybeEnableTracing(
 }
 
 int DumpTrace(const std::string& path) {
-  Status s = WriteFile(path, obs::Tracer::Default().ToLdjson());
+  Status s = WriteFileAtomic(path, obs::Tracer::Default().ToLdjson());
   if (!s.ok()) return Fail(s.ToString());
   std::cerr << "wrote " << obs::Tracer::Default().size() << " spans to "
             << path << "\n";
   return 0;
 }
 
-int RunTrain(const std::map<std::string, std::string>& flags) {
+int RunTrain(const FlagMap& flags) {
   auto out_it = flags.find("out_dir");
   if (out_it == flags.end()) {
     return Fail("train requires --out_dir <directory>");
   }
   const std::string out_dir = out_it->second;
+  FlagReader reader(flags);
+  Rng rng(reader.Unsigned("seed", 42));
+  size_t samples_per_table = reader.Unsigned("samples_per_table", 60);
+  if (!reader.status().ok()) return Fail(reader.status().ToString());
   std::string trace_path = MaybeEnableTracing(flags);
-  Rng rng(FlagSize(flags, "seed", 42));
-  size_t samples_per_table = FlagSize(flags, "samples_per_table", 60);
   static const TemplateLibrary& library = TemplateLibrary::Builtin();
   std::vector<TableWithText> corpus = DemoCorpus();
 
@@ -239,10 +187,10 @@ int RunTrain(const std::map<std::string, std::string>& flags) {
   std::cerr << "trained qa model on " << questions.size()
             << " synthetic questions\n";
 
-  Status s = WriteFile(out_dir + "/verifier.weights.txt",
-                       verifier.SaveWeights());
+  Status s = WriteFileAtomic(out_dir + "/verifier.weights.txt",
+                             verifier.SaveWeights());
   if (!s.ok()) return Fail(s.ToString());
-  s = WriteFile(out_dir + "/qa.weights.txt", qa.SaveWeights());
+  s = WriteFileAtomic(out_dir + "/qa.weights.txt", qa.SaveWeights());
   if (!s.ok()) return Fail(s.ToString());
   std::cerr << "wrote " << out_dir << "/verifier.weights.txt and "
             << out_dir << "/qa.weights.txt\n";
@@ -257,7 +205,7 @@ int RunTrain(const std::map<std::string, std::string>& flags) {
 /// Any failed flush write is a nonzero exit — exit 0 must mean every byte
 /// the caller asked for actually made it out.
 int FinishServe(serve::Server& server,
-                const std::map<std::string, std::string>& flags,
+                const FlagMap& flags,
                 const std::string& trace_path) {
   std::cout.flush();
   if (!std::cout) {
@@ -272,15 +220,26 @@ int FinishServe(serve::Server& server,
   return 0;
 }
 
-int RunServe(const std::map<std::string, std::string>& flags) {
+int RunServe(const FlagMap& flags) {
+  serve::ServerConfig server_config;
+  FlagReader reader(flags);
+  server_config.scheduler.num_workers =
+      reader.Unsigned("workers", 4, kMaxThreadsFlag);
+  server_config.scheduler.queue_capacity = reader.Unsigned("queue", 256);
+  server_config.cache_capacity = reader.Unsigned("cache", 4096);
+  server_config.default_timeout_ms = reader.Int("timeout_ms", 0);
+  server_config.store_fsync_interval_ms = reader.Int(
+      "store-fsync-interval-ms", server_config.store_fsync_interval_ms);
+  if (!reader.status().ok()) return Fail(reader.status().ToString());
+
   std::string verifier_weights, qa_weights;
   if (auto it = flags.find("verifier_weights"); it != flags.end()) {
-    auto text = ReadFile(it->second);
+    auto text = ReadFileText(it->second);
     if (!text.ok()) return Fail(text.status().ToString());
     verifier_weights = std::move(text).ValueOrDie();
   }
   if (auto it = flags.find("qa_weights"); it != flags.end()) {
-    auto text = ReadFile(it->second);
+    auto text = ReadFileText(it->second);
     if (!text.ok()) return Fail(text.status().ToString());
     qa_weights = std::move(text).ValueOrDie();
   }
@@ -291,12 +250,6 @@ int RunServe(const std::map<std::string, std::string>& flags) {
   if (!engine.ok()) return Fail(engine.status().ToString());
 
   std::string trace_path = MaybeEnableTracing(flags);
-  serve::ServerConfig server_config;
-  server_config.scheduler.num_workers = FlagSize(flags, "workers", 4);
-  server_config.scheduler.queue_capacity = FlagSize(flags, "queue", 256);
-  server_config.cache_capacity = FlagSize(flags, "cache", 4096);
-  server_config.default_timeout_ms =
-      static_cast<int64_t>(FlagSize(flags, "timeout_ms", 0));
   if (auto it = flags.find("store-dir"); it != flags.end()) {
     if (it->second.empty()) {
       return Fail("--store-dir requires a directory path");
@@ -308,9 +261,6 @@ int RunServe(const std::map<std::string, std::string>& flags) {
     if (!mode.ok()) return Fail(mode.status().ToString());
     server_config.store_fsync = *mode;
   }
-  server_config.store_fsync_interval_ms = static_cast<int>(
-      FlagSize(flags, "store-fsync-interval-ms",
-               static_cast<size_t>(server_config.store_fsync_interval_ms)));
   serve::Server server(&*engine, server_config);
   if (!server.recovery_status().ok()) {
     // Refuse to serve rather than run with durability silently broken.
@@ -374,8 +324,11 @@ int main(int argc, char** argv) {
   }
   std::string mode = argv[1];
   auto flags = ParseFlags(argc, argv, 2);
-  if (Status s = MaybeArmFaults(flags); !s.ok()) return Fail(s.ToString());
-  if (mode == "train") return RunTrain(flags);
-  if (mode == "serve") return RunServe(flags);
+  if (!flags.ok()) return Fail(flags.status().ToString());
+  if (Status s = fault::ArmFromFlags(*flags); !s.ok()) {
+    return Fail(s.ToString());
+  }
+  if (mode == "train") return RunTrain(*flags);
+  if (mode == "serve") return RunServe(*flags);
   return Fail("unknown mode '" + mode + "' (expected train or serve)");
 }

@@ -270,10 +270,7 @@ Result<Value> EvalAggregateItem(const SelectItem& item, const Table& table,
 
 Result<ExecResult> Execute(const SelectStatement& stmt, const Table& table,
                            const ExecOptions& opts) {
-  // The table-level switch covers degraded serving: a table whose index
-  // warming faulted executes on the scan path regardless of opts.
-  const TableIndex* index =
-      opts.use_index && table.index_enabled() ? &table.index() : nullptr;
+  const TableIndex* index = opts.use_index ? &table.index() : nullptr;
   const SqlInstruments& inst = SqlInstruments::Get();
   (index ? inst.exec_indexed : inst.exec_scan)->Increment();
   size_t rows_scanned = 0;

@@ -5,9 +5,12 @@
 #include <filesystem>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/file_util.h"
+#include "common/flags.h"
 #include "common/hash.h"
 #include "common/json.h"
 #include "common/numeric.h"
@@ -527,6 +530,104 @@ TEST(WriteFileAtomicTest, FailedWriteLeavesTargetUnchanged) {
   fs::create_directory(path + ".tmp");
   EXPECT_FALSE(WriteFileAtomic(path, "new").ok());
   EXPECT_EQ(ReadFileText(path).ValueOrDie(), "old");
+}
+
+// ------------------------------------------------------------- CLI flags
+
+// Parses a literal argv the way main() receives it.
+Result<FlagMap> ParseArgs(std::vector<std::string> args) {
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return ParseFlags(static_cast<int>(argv.size()), argv.data(), 0);
+}
+
+TEST(FlagsTest, ParsesSpacedEqualsAndBareForms) {
+  // The shapes the benchmark harness, scripts and CI pass today.
+  auto flags = ParseArgs({"--listen", "127.0.0.1:0", "--backends=a:1,b:2",
+                          "--put-replicas", "2", "--metrics", "--workers",
+                          "4", "--threshold", "0.4", "--no-agreement"});
+  ASSERT_TRUE(flags.ok()) << flags.status().ToString();
+  EXPECT_EQ(flags->at("listen"), "127.0.0.1:0");
+  EXPECT_EQ(flags->at("backends"), "a:1,b:2");
+  EXPECT_EQ(flags->at("metrics"), "1");
+  EXPECT_EQ(flags->at("no-agreement"), "1");
+  FlagReader reader(*flags);
+  EXPECT_EQ(reader.Unsigned("put-replicas", 1), 2u);
+  EXPECT_EQ(reader.Unsigned("workers", 64, kMaxThreadsFlag), 4u);
+  EXPECT_DOUBLE_EQ(reader.Double("threshold", 0.3), 0.4);
+  EXPECT_EQ(reader.Int("probe-interval-ms", 100), 100);  // absent
+  EXPECT_TRUE(reader.status().ok());
+}
+
+TEST(FlagsTest, RejectsPositionalArguments) {
+  EXPECT_FALSE(ParseArgs({"stray"}).ok());
+  EXPECT_FALSE(ParseArgs({"--workers", "4", "5"}).ok());
+  EXPECT_FALSE(ParseArgs({"--"}).ok());
+  EXPECT_TRUE(ParseArgs({}).ok());
+}
+
+TEST(FlagsTest, ParseUnsignedAcceptsDigitsUpToMax) {
+  EXPECT_EQ(ParseUnsigned("0", 10).ValueOrDie(), 0u);
+  EXPECT_EQ(ParseUnsigned("007", 10).ValueOrDie(), 7u);
+  EXPECT_EQ(ParseUnsigned("1024", 1024).ValueOrDie(), 1024u);
+  EXPECT_EQ(ParseUnsigned("18446744073709551615", UINT64_MAX).ValueOrDie(),
+            UINT64_MAX);
+}
+
+TEST(FlagsTest, ParseUnsignedRejectsSignsJunkAndOverflow) {
+  for (const char* text :
+       {"-1", "+1", "abc", "2x", "", " 1", "1 ", "1.5", "0x10",
+        "18446744073709551616", "99999999999999999999999"}) {
+    auto parsed = ParseUnsigned(text, UINT64_MAX);
+    EXPECT_FALSE(parsed.ok()) << "'" << text << "'";
+    if (!parsed.ok()) {
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+  EXPECT_FALSE(ParseUnsigned("1025", 1024).ok());
+  EXPECT_FALSE(ParseUnsigned("2147483648", 2147483647).ok());
+}
+
+TEST(FlagsTest, ParseFiniteDoubleRejectsNonFiniteAndJunk) {
+  EXPECT_DOUBLE_EQ(ParseFiniteDouble("0.5").ValueOrDie(), 0.5);
+  EXPECT_DOUBLE_EQ(ParseFiniteDouble("2000").ValueOrDie(), 2000.0);
+  EXPECT_DOUBLE_EQ(ParseFiniteDouble("1e3").ValueOrDie(), 1000.0);
+  for (const char* text :
+       {"nan", "NaN", "inf", "-inf", "infinity", "1e999", "", "abc", "0.5x",
+        " 1", "1 "}) {
+    EXPECT_FALSE(ParseFiniteDouble(text).ok()) << "'" << text << "'";
+  }
+}
+
+TEST(FlagsTest, ReaderKeepsTheFirstErrorNamingTheFlag) {
+  FlagMap flags = {{"workers", "abc"},
+                   {"threads", "2x"},
+                   {"timeout-ms", "2147483648"},
+                   {"qps", "inf"},
+                   {"connections", "-1"}};
+  FlagReader reader(flags);
+  // Each bad value falls back; none reaches a field.
+  EXPECT_EQ(reader.Unsigned("workers", 4, kMaxThreadsFlag), 4u);
+  EXPECT_EQ(reader.Unsigned("threads", 2, kMaxThreadsFlag), 2u);
+  EXPECT_EQ(reader.Int("timeout-ms", 30000), 30000);
+  EXPECT_DOUBLE_EQ(reader.Double("qps", 0.0), 0.0);
+  EXPECT_EQ(reader.Unsigned("connections", 8, kMaxThreadsFlag), 8u);
+  ASSERT_FALSE(reader.status().ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(reader.status().message().find("--workers"), std::string::npos)
+      << reader.status().ToString();
+  EXPECT_NE(reader.status().message().find("abc"), std::string::npos);
+}
+
+TEST(FlagsTest, ReaderBoundsThreadCountsAndIntFields) {
+  // Checked through the parser only: no pool is ever started here.
+  FlagMap flags = {{"workers", "1025"}, {"timeout-ms", "2147483647"}};
+  FlagReader reader(flags);
+  EXPECT_EQ(reader.Int("timeout-ms", 0), 2147483647);
+  EXPECT_TRUE(reader.status().ok());
+  EXPECT_EQ(reader.Unsigned("workers", 4, kMaxThreadsFlag), 4u);
+  EXPECT_FALSE(reader.status().ok());
+  EXPECT_NE(reader.status().message().find("--workers"), std::string::npos);
 }
 
 // Golden value: the xoshiro256** stream for seed 42, pinned so a change to

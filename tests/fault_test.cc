@@ -81,13 +81,13 @@ TEST(StatusTransientTest, OnlyUnavailableAndDeadlineAreTransient) {
 TEST(FaultSpecTest, ParsesFullGrammar) {
   std::vector<FaultRule> rules;
   ASSERT_TRUE(FaultInjector::ParseSpec(
-                  "serve.index_warm=error(internal):p=0.25;"
+                  "serve.cache_get=error(internal):p=0.25;"
                   "sched.dequeue = latency(5) : n=3 : after=2;"
                   "gen.*=alloc",
                   &rules)
                   .ok());
   ASSERT_EQ(rules.size(), 3u);
-  EXPECT_EQ(rules[0].site, "serve.index_warm");
+  EXPECT_EQ(rules[0].site, "serve.cache_get");
   EXPECT_EQ(rules[0].kind, fault::FaultKind::kError);
   EXPECT_EQ(rules[0].code, StatusCode::kInternal);
   EXPECT_DOUBLE_EQ(rules[0].probability, 0.25);
@@ -115,6 +115,25 @@ TEST(FaultSpecTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(FaultInjector::ParseSpec("a=error:p=1.5", &rules).ok());
   EXPECT_FALSE(FaultInjector::ParseSpec("a=error:bogus", &rules).ok());
   EXPECT_FALSE(FaultInjector::ParseSpec("a=error:x=1", &rules).ok());
+}
+
+TEST(FaultSpecTest, ArmFromFlagsRejectsBadSeedsBeforeArming) {
+  FaultGuard guard;
+  EXPECT_TRUE(fault::ArmFromFlags({}).ok());
+  EXPECT_FALSE(FaultInjector::Global().armed());
+  for (const char* seed : {"-7", "7x", "", "18446744073709551616"}) {
+    Status s = fault::ArmFromFlags(
+        {{"fault-spec", "serve.execute=error"}, {"fault-seed", seed}});
+    EXPECT_FALSE(s.ok()) << "'" << seed << "'";
+    EXPECT_NE(s.message().find("--fault-seed"), std::string::npos)
+        << s.ToString();
+    EXPECT_FALSE(FaultInjector::Global().armed());
+  }
+  ASSERT_TRUE(fault::ArmFromFlags({{"fault-spec", "serve.execute=error"},
+                                   {"fault-seed", "7"}})
+                  .ok());
+  EXPECT_TRUE(FaultInjector::Global().armed());
+  EXPECT_FALSE(UCTR_FAULT_POINT("serve.execute").ok());
 }
 
 // -------------------------------------------------------------- Injection
@@ -558,35 +577,6 @@ std::string StripDegradedMarker(std::string response) {
   return response;
 }
 
-TEST(ServerDegradedTest, IndexWarmFaultFallsBackToAnswerIdenticalScan) {
-  std::string request = VerifyRequest(
-      1, kMedalsCsv, "The gold of the row whose nation is japan is 5.");
-  std::string healthy;
-  {
-    FaultGuard clean;
-    serve::ServerConfig config;
-    config.scheduler.num_workers = 1;
-    serve::Server server(&SharedEngine(), config);
-    healthy = server.HandleLine(request);
-  }
-  ASSERT_NE(healthy.find("\"status\":\"ok\""), std::string::npos) << healthy;
-  ASSERT_EQ(healthy.find("degraded"), std::string::npos) << healthy;
-
-  FaultGuard guard("serve.index_warm=error");
-  MetricsRegistry metrics;
-  serve::ServerConfig config;
-  config.metrics = &metrics;
-  config.scheduler.num_workers = 1;
-  serve::Server server(&SharedEngine(), config);
-  std::string degraded = server.HandleLine(request);
-  EXPECT_NE(degraded.find("\"degraded\":true"), std::string::npos)
-      << degraded;
-  EXPECT_EQ(StripDegradedMarker(degraded), healthy)
-      << "scan fallback must be answer-identical to the indexed path";
-  EXPECT_GE(metrics.counter("degraded_index_fallback_total")->value(), 1u);
-  EXPECT_GE(metrics.counter("responses_degraded_total")->value(), 1u);
-}
-
 TEST(ServerDegradedTest, CacheFaultsDegradeToBypassNotFailure) {
   FaultGuard guard("serve.cache_get=error;serve.cache_put=error");
   MetricsRegistry metrics;
@@ -659,9 +649,9 @@ TEST(ServerDegradedTest, AdmissionFaultRejectsLikeBackpressure) {
 const std::vector<std::string>& ChaosSites() {
   static const std::vector<std::string> sites = {
       "serve.submit",       "serve.cache_get",  "serve.cache_put",
-      "serve.table_parse",  "serve.execute",    "serve.index_warm",
-      "sched.dequeue",      "table.from_csv",   "gen.attempt",
-      "gen.shard",          "gen.checkpoint_write",
+      "serve.table_parse",  "serve.execute",    "sched.dequeue",
+      "table.from_csv",     "gen.attempt",      "gen.shard",
+      "gen.checkpoint_write",
   };
   return sites;
 }

@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "arith/executor.h"
 #include "common/numeric.h"
 #include "common/rng.h"
 #include "common/string_util.h"
@@ -353,14 +354,28 @@ TEST(IndexInvalidationTest, CopiesRebuildMovesCarry) {
   ExpectSqlIdentical(moved, "SELECT total FROM w WHERE nation = 'Canada'");
 }
 
-// Runs `program` through Program::Execute on `table` (indexed) and on a
-// copy with the index disabled — the scan a degraded serving table runs —
-// and requires identical outcomes, down to Value::Equals on every value.
+// The reference scan of one program: SQL and logical forms run their
+// executors with the index off; arithmetic has no indexed path.
+Result<ExecResult> ExecuteScan(const Program& program, const Table& table) {
+  switch (program.type) {
+    case ProgramType::kSql:
+      return sql::ExecuteQuery(program.text, table, {.use_index = false});
+    case ProgramType::kLogicalForm:
+      return logic::ExecuteLogicalForm(program.text, table,
+                                       {.use_index = false});
+    case ProgramType::kArithmetic:
+      return arith::ExecuteExpression(program.text, table);
+  }
+  return Status::Internal("unknown program type");
+}
+
+// Runs `program` through Program::Execute on `table` (indexed) and through
+// ExecuteScan on a fresh copy, and requires identical outcomes, down to
+// Value::Equals on every value.
 void ExpectProgramIdentical(const Program& program, const Table& table) {
   Table scan_copy = table;
-  scan_copy.set_index_enabled(false);
   auto indexed = program.Execute(table);
-  auto scanned = program.Execute(scan_copy);
+  auto scanned = ExecuteScan(program, scan_copy);
   ASSERT_EQ(DescribeOutcome(indexed), DescribeOutcome(scanned))
       << ProgramTypeToString(program.type) << " diverged: " << program.text;
   if (!indexed.ok()) return;
@@ -531,10 +546,9 @@ TEST(IndexConcurrencyTest, AllFamiliesOnSharedConstTable) {
       {ProgramType::kArithmetic, "divide([2019 of x], 2)"},  // Fails at run.
   };
   Table scan_copy = table;
-  scan_copy.set_index_enabled(false);
   std::vector<std::string> expected;
   for (const Program& p : programs) {
-    expected.push_back(DescribeOutcome(p.Execute(scan_copy)));
+    expected.push_back(DescribeOutcome(ExecuteScan(p, scan_copy)));
   }
 
   constexpr int kThreads = 8;

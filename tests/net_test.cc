@@ -579,7 +579,8 @@ TEST_F(LoopbackTest, ShutdownFlagTriggersDrainLikeSigterm) {
   net_->set_shutdown_flag(&flag);
   Client client = MustConnect();
   ASSERT_TRUE(client.Call("{\"id\":1,\"op\":\"ping\"}").ok());
-  flag = 1;
+  // A signal handler may run on any thread; this thread plays that part.
+  __atomic_store_n(&flag, 1, __ATOMIC_RELAXED);
   loop_thread_.join();  // the 100 ms tick observes the flag
   SUCCEED();
 }
